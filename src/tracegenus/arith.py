@@ -1,19 +1,43 @@
 """Integer arithmetic: primality, factorization, quadratic residues.
 
-Fully deterministic. Miller-Rabin uses the fixed witness set that is proven
-sufficient below 3.3 * 10^24; Pollard rho runs Brent's variant over an
-escalating, fixed parameter schedule. Composite cofactors above 10^18 that
-survive the schedule raise FactorizationLimitError rather than looping.
+Fully deterministic. Primality is Miller-Rabin with the first k prime bases,
+k the least index whose bound psi_k (OEIS A014233, Sorenson-Webster 2017)
+exceeds n; psi_13 ~ 3.3 * 10^24, and below it the answer is proven. From
+psi_13 on, the 13 bases are followed by a strong Lucas test (Selfridge
+parameters), which makes the test BPSW (Baillie-Wagstaff 1980): no
+counterexample is known, but the answer is probable, not proven.
+
+Factorization trial-divides by the primes below 1000 and hands the cofactor
+to Brent's variant of Pollard rho over an escalating, fixed parameter
+schedule. Composite cofactors above 10^18 that survive the schedule raise
+FactorizationLimitError rather than looping.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import gcd, isqrt
 
 from .errors import DegenerateInputError, FactorizationLimitError, InvalidPrimeError
 
-_TRIAL_LIMIT = 100_000
 _COFACTOR_LIMIT = 10 ** 18
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_k: the least odd composite that is a strong pseudoprime to each of the
+# first k prime bases, so those k bases decide every n < psi_k exactly
+_MR_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
 
 
 def _small_primes(limit):
@@ -28,7 +52,8 @@ _PRIMES_BELOW_1000 = _small_primes(1000)
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin (exact for n < 3.3e24, our working range)."""
+    """Primality of an integer: proven for n < psi_13 ~ 3.3e24 by
+    Miller-Rabin with size-graded bases, BPSW-probable from psi_13 on."""
     if n < 2:
         return False
     for p in _PRIMES_BELOW_1000:
@@ -41,7 +66,8 @@ def is_prime(n):
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    k = bisect_right(_MR_PSI, n) + 1
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -51,7 +77,62 @@ def is_prime(n):
                 break
         else:
             return False
-    return True
+    if n < _MR_PSI[-1]:
+        return True
+    return isqrt(n) ** 2 != n and _strong_lucas(n)
+
+
+def _jacobi(a, n):
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n):
+    """Strong Lucas probable-prime test, Selfridge's method A for (D, P, Q);
+    n odd, above 1, and not a perfect square."""
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:  # D shares a factor with n
+            return n == abs(D)
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4  # and P = 1
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # binary ladder for U_d, V_d and Q^d, from the leading bit of d down
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U = U * V % n
+        V = (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            U = ((U + n if U & 1 else U) >> 1) % n
+            V = ((V + n if V & 1 else V) >> 1) % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 _RHO_CONSTANTS = 64  # polynomial offsets x^2 + c tried in order
@@ -77,7 +158,9 @@ def _brent_rho(n):
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    # x - y may be negative: that only flips the sign of q
+                    # mod n, and gcd ignores sign
+                    q = q * (x - y) % n
                 g = gcd(q, n)
                 k += m
             r *= 2
@@ -86,7 +169,7 @@ def _brent_rho(n):
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+                g = gcd(x - ys, n)
         if 1 < g < n:
             return g
     return None
@@ -125,19 +208,14 @@ def factor_integer(n):
     sign = 1 if n > 0 else -1
     n = abs(n)
     out = {}
-    for p in (2, 3, 5):
+    # trial division stops at p^2 > n; rho finds larger factors faster than
+    # a longer trial loop would
+    for p in _PRIMES_BELOW_1000:
+        if p * p > n:
+            break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    # 2,3,5-wheel trial division up to the fixed limit
-    inc = (4, 2, 4, 2, 4, 6, 2, 6)
-    p, i = 7, 0
-    while p * p <= n and p <= _TRIAL_LIMIT:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += inc[i]
-        i = (i + 1) % 8
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -178,7 +256,10 @@ def smallest_nonresidue(p):
     """Least u >= 2 with (u/p) = -1; p must be an odd prime."""
     if p == 2 or not is_prime(p):
         raise InvalidPrimeError("nonresidue search needs an odd prime, got %r" % (p,))
+    # p is checked once; Euler's criterion then gives 1 for a residue and
+    # p - 1 for a nonresidue (the least nonresidue is below p)
+    half = (p - 1) // 2
     u = 2
-    while legendre(u, p) != -1:
+    while pow(u, half, p) == 1:
         u += 1
     return u

@@ -13,7 +13,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import report
 from .corpus import read_corpus
@@ -263,8 +262,15 @@ def cmd_scan(args):
     tasks = [(r.label, r.text, cache_dir, use_cache) for r in corpus]
     warnings = []
     records = []
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # with fork, the pool starts every worker at once, so never more than
+    # there are CPUs or records
+    workers = min(args.jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        # imported here: it pulls in multiprocessing, which a serial run or
+        # a plain analyze never needs
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_one, tasks))
     else:
         results = [_scan_one(t) for t in tasks]
@@ -303,6 +309,16 @@ def _meta(t0, warnings):
     return meta
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def _add_common_flags(sub):
     fmt = sub.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON output (default)")
@@ -337,7 +353,13 @@ def build_parser():
     p_scan = subs.add_parser("scan", help="analyze a corpus CSV")
     p_scan.add_argument("corpus", help="CSV file: label,polynomial")
     p_scan.add_argument("--pairs", action="store_true", help="cross-validate applicable pairs")
-    p_scan.add_argument("--jobs", type=int, default=1, metavar="N", help="worker processes")
+    p_scan.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        metavar="N",
+        help="worker processes (at most one per CPU and per record)",
+    )
     _add_common_flags(p_scan)
     p_scan.set_defaults(func=cmd_scan)
     return parser

@@ -1,8 +1,11 @@
+from math import isqrt
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import brute_is_prime, brute_legendre, brute_nonresidue, trial_division
+import tracegenus.arith as arith
 from tracegenus.arith import (
     PrimeFactorization,
     factor_integer,
@@ -12,6 +15,24 @@ from tracegenus.arith import (
 )
 from tracegenus.errors import DegenerateInputError, FactorizationLimitError, InvalidPrimeError
 
+# psi_k (OEIS A014233): the least odd composite passing Miller-Rabin to the
+# first k prime bases, with its prime factors
+PSI = [
+    (2047, (23, 89)),
+    (1373653, (829, 1657)),
+    (25326001, (2251, 11251)),
+    (3215031751, (151, 751, 28351)),
+    (2152302898747, (6763, 10627, 29947)),
+    (3474749660383, (1303, 16927, 157543)),
+    (341550071728321, (10670053, 32010157)),
+    (341550071728321, (10670053, 32010157)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (318665857834031151167461, (399165290221, 798330580441)),
+    (3317044064679887385961981, (1287836182261, 2575672364521)),
+]
+MID_PRIMES = [p for p in range(1001, 100000, 2) if brute_is_prime(p)]
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107]
 
 
@@ -26,6 +47,56 @@ def test_is_prime_large_knowns():
     assert not is_prime(2**67 - 1)  # classic composite Mersenne
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
+
+
+@pytest.mark.parametrize("k", range(1, 14))
+def test_is_prime_rejects_psi(k):
+    n, factors = PSI[k - 1]
+    prod = 1
+    for p in factors:
+        assert is_prime(p)
+        prod *= p
+    assert prod == n
+    assert not is_prime(n)
+
+
+def test_is_prime_above_psi13():
+    # bases plus strong Lucas decide here: 2^e - 1 is prime for the first four
+    # exponents and composite for the other seven
+    for e in (89, 107, 127, 521):
+        assert is_prime(2**e - 1)
+    for e in (83, 97, 101, 103, 109, 113, 131):
+        assert not is_prime(2**e - 1)
+    assert not is_prime((2**61 - 1) ** 2)
+    assert not is_prime((2**61 - 1) * (2**89 - 1))
+
+
+def test_strong_lucas_pseudoprimes_below_1e5():
+    # OEIS A217255: the composites that pass the strong Lucas test with
+    # Selfridge parameters; every prime passes
+    pseudoprimes = {5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439}
+    for n in range(3, 100000, 2):
+        if isqrt(n) ** 2 != n:
+            assert arith._strong_lucas(n) == (brute_is_prime(n) or n in pseudoprimes), n
+
+
+def test_factor_integer_psi12():
+    n, factors = PSI[11]
+    assert factor_integer(n).factors == tuple((p, 1) for p in factors)
+
+
+@given(
+    st.lists(st.sampled_from(MID_PRIMES), min_size=1, max_size=4),
+    st.lists(st.sampled_from(ODD_PRIMES + [2]), max_size=4),
+)
+def test_factor_integer_finds_mid_size_primes(mid, small):
+    # factors in (10^3, 10^5) lie beyond the trial-division primes
+    expected = {}
+    n = 1
+    for p in mid + small:
+        expected[p] = expected.get(p, 0) + 1
+        n *= p
+    assert factor_integer(n).factors == tuple(sorted(expected.items()))
 
 
 @given(st.integers(2, 10**6))
@@ -115,6 +186,18 @@ def test_legendre_rejects_non_odd_prime():
 @pytest.mark.parametrize("p", ODD_PRIMES)
 def test_smallest_nonresidue_matches_brute_force(p):
     assert smallest_nonresidue(p) == brute_nonresidue(p)
+
+
+@pytest.mark.parametrize("p", [1000000000271, 10**12 + 39, 2**61 - 1])
+def test_smallest_nonresidue_large_prime(monkeypatch, p):
+    # p is validated once, not once per candidate
+    calls = []
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    u = 2
+    while pow(u, (p - 1) // 2, p) != p - 1:
+        u += 1
+    assert smallest_nonresidue(p) == u
+    assert calls == [p]
 
 
 def test_smallest_nonresidue_is_prime_itself():

@@ -1,10 +1,12 @@
 """CLI behavior: exit codes, JSON emission, cache semantics, scan summaries.
 
-Everything runs in-process through main(argv) so the suite stays fast; one
-subprocess test checks the installed console script end to end.
+Everything runs in-process through main(argv) so the suite stays fast; two
+subprocess tests check the installed console script end to end and what
+importing the CLI loads.
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -220,6 +222,70 @@ def test_scan_jobs_deterministic(capsys, repo_root, tmp_path):
     _, out1, _ = run_cli(capsys, "scan", corpus, "--pairs", "--jobs", "1", "--no-cache")
     _, out2, _ = run_cli(capsys, "scan", corpus, "--pairs", "--jobs", "3", "--no-cache")
     assert canonical_bytes(json.loads(out1)) == canonical_bytes(json.loads(out2))
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "-5", "two"])
+def test_scan_rejects_bad_jobs(capsys, repo_root, jobs):
+    corpus = str(repo_root / "corpus" / "pairs.csv")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", corpus, "--jobs", jobs, "--no-cache"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count, runs serially."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, expected",
+    [
+        ("8", 2, [2]),  # capped by the CPU count
+        ("8", 64, [4]),  # capped by the 4 records of pairs.csv
+        ("3", 64, [3]),
+        ("8", 1, []),  # one CPU: serial, no pool
+        ("8", None, []),  # unknown CPU count counts as one
+    ],
+)
+def test_scan_caps_worker_count(capsys, repo_root, monkeypatch, jobs, cpus, expected):
+    import concurrent.futures
+
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    corpus = str(repo_root / "corpus" / "pairs.csv")
+    code, out, _ = run_cli(capsys, "scan", corpus, "--jobs", jobs, "--no-cache")
+    assert code == 0
+    assert len(json.loads(out)["records"]) == 4
+    assert _RecordingPool.sizes == expected
+
+
+def test_cli_import_leaves_out_process_pool(repo_root):
+    # the pool machinery is imported only by a parallel scan
+    code = "import sys, tracegenus.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(repo_root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
