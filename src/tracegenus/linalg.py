@@ -30,17 +30,6 @@ def mat_mul(a, b):
     return out
 
 
-def vec_mat(v, m):
-    cols = len(m[0])
-    out = [0] * cols
-    for k, c in enumerate(v):
-        if c:
-            mk = m[k]
-            for j in range(cols):
-                out[j] += c * mk[j]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Hermite normal form
 
@@ -144,18 +133,24 @@ def det_bareiss(matrix):
 
 
 def solve_lower_unit(basis, rhs):
-    """Solve x * basis = rhs for a lower-triangular basis with nonzero diagonal.
+    """Integer x with x * basis = rhs for a lower-triangular integer basis
+    with nonzero diagonal, or None when rhs is not in the row lattice.
 
-    rhs entries may be Fractions; returns a list of Fractions.
+    Back-substitution with exact division. The triangular system has exactly
+    one rational solution, so the first inexact division proves that rhs is
+    outside the lattice.
     """
     n = len(basis)
-    x = [Fraction(0)] * n
+    x = [0] * n
     for j in range(n - 1, -1, -1):
-        acc = Fraction(rhs[j])
+        acc = rhs[j]
         for k in range(j + 1, n):
             if basis[k][j]:
                 acc -= x[k] * basis[k][j]
-        x[j] = acc / basis[j][j]
+        q, r = divmod(acc, basis[j][j])
+        if r:
+            return None
+        x[j] = q
     return x
 
 

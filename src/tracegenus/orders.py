@@ -9,7 +9,6 @@ element 1 and the diagonal exposes the elementary divisors.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -58,9 +57,10 @@ class Order:
         num, den = element
         if num.degree >= self.degree:
             num = num.mod_monic(self.poly)
-        rhs = [Fraction(c, den) * self.denom for c in list(num.coeffs) + [0] * (self.degree - len(num.coeffs))]
-        coords = solve_lower_unit([list(r) for r in self.basis_num], rhs)
-        return all(c.denominator == 1 for c in coords)
+        # x * (basis_num / denom) = num / den  <=>  x * (den * basis_num) = num * denom
+        rhs = [c * self.denom for c in num.coeffs] + [0] * (self.degree - len(num.coeffs))
+        basis = [[den * c for c in row] for row in self.basis_num]
+        return solve_lower_unit(basis, rhs) is not None
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,8 @@ def mult_table(order):
     order's own basis (integers; integrality is exactly ring closure)."""
     n = order.degree
     d = order.denom
-    basis = [list(r) for r in order.basis_num]
+    # w_i * w_j = prod / d^2, so its coordinates x solve x * (d * basis_num) = prod
+    basis = [[d * c for c in row] for row in order.basis_num]
     polys = order.basis_polys()
     table = []
     for i in range(n):
@@ -130,16 +131,12 @@ def mult_table(order):
         for j in range(n):
             prod = (polys[i] * polys[j]).mod_monic(order.poly)
             vec = list(prod.coeffs) + [0] * (n - len(prod.coeffs))
-            rhs = [Fraction(c, d) for c in vec]
-            coords = solve_lower_unit(basis, rhs)
-            out = []
-            for c in coords:
-                if c.denominator != 1:
-                    raise InternalConsistencyError(
-                        "order is not multiplicatively closed at basis (%d,%d)" % (i, j)
-                    )
-                out.append(int(c))
-            row.append(tuple(out))
+            coords = solve_lower_unit(basis, vec)
+            if coords is None:
+                raise InternalConsistencyError(
+                    "order is not multiplicatively closed at basis (%d,%d)" % (i, j)
+                )
+            row.append(tuple(coords))
         table.append(tuple(row))
     return tuple(table)
 
@@ -158,6 +155,49 @@ def _multiply_in_order(table, x, y):
                     for k in range(n):
                         out[k] += c * tij[k]
     return out
+
+
+@dataclass(frozen=True)
+class QuotientAlgebra:
+    """The F_p-algebra O/pO of an order O. Elements are coordinate lists
+    mod p on the order's basis, whose row 0 is the element 1.
+
+    table[i][j] holds the coordinates of w_i * w_j, read mod p: Round 2 and
+    split_prime pass the order's integer mult_table as it is, since mul
+    reduces every product, and splitting.quotient_algebra stores it reduced.
+    """
+
+    p: int
+    dim: int
+    table: tuple
+
+    def mul(self, a, b):
+        p = self.p
+        return [c % p for c in _multiply_in_order(self.table, a, b)]
+
+    def one(self):
+        return [1] + [0] * (self.dim - 1)
+
+
+def frobenius_matrix(alg):
+    """Rows of the F_p-linear map x -> x^p on the basis of a commutative
+    F_p-algebra, by square-and-multiply on the exponent p. alg is any of the
+    algebras here (QuotientAlgebra and the splitting route's quotient and
+    component algebras); this uses only its p, dim and mul(a, b)."""
+    p = alg.p
+    rows = []
+    for i in range(alg.dim):
+        base = [1 if j == i else 0 for j in range(alg.dim)]
+        result = None
+        k = p
+        while k:
+            if k & 1:
+                result = base if result is None else alg.mul(result, base)
+            k >>= 1
+            if k:
+                base = alg.mul(base, base)
+        rows.append(result)
+    return rows
 
 
 def dedekind_is_pmaximal(f, p):
@@ -200,27 +240,12 @@ def _require_field_poly(f):
         raise NonMonicInputError("defining polynomial must be nonconstant")
 
 
-def _radical_kernel(table, n, p):
-    """Basis (mod p) of the nilradical of the order mod p, via iterated
-    Frobenius: kernel of x -> x^(p^k) with p^k >= n."""
-    frob = []
-    for i in range(n):
-        e = [1 if j == i else 0 for j in range(n)]
-        acc = e
-        # acc = w_i^p by square-and-multiply on the exponent p
-        result = None
-        base = e
-        exp = p
-        while exp:
-            if exp & 1:
-                result = base if result is None else [
-                    c % p for c in _multiply_in_order(table, result, base)
-                ]
-            exp >>= 1
-            if exp:
-                base = [c % p for c in _multiply_in_order(table, base, base)]
-        frob.append([c % p for c in result])
-    power = [row[:] for row in frob]
+def _radical_kernel(alg):
+    """Basis (mod p) of the nilradical of the algebra alg = O/pO, via
+    iterated Frobenius: kernel of x -> x^(p^k) with p^k >= dim."""
+    p, n = alg.p, alg.dim
+    frob = frobenius_matrix(alg)
+    power = frob
     k = 1
     while p ** k < n:
         power = [[sum(power[i][t] * frob[t][j] for t in range(n)) % p for j in range(n)] for i in range(n)]
@@ -242,7 +267,7 @@ def pmaximalize(f, p):
     n = f.degree
     while True:
         table = mult_table(order)
-        radical = _radical_kernel(table, n, p)
+        radical = _radical_kernel(QuotientAlgebra(p=p, dim=n, table=table))
         # ideal I_p: radical lifts plus p*O, as a lattice in O-coordinates
         ideal_rows = [list(v) for v in radical]
         ideal_rows.extend([p if i == j else 0 for j in range(n)] for i in range(n))
@@ -256,10 +281,9 @@ def pmaximalize(f, p):
             for m_row in ideal:
                 prod = _multiply_in_order(table, e, m_row)
                 coords = solve_lower_unit(ideal, prod)
-                for c in coords:
-                    if c.denominator != 1:  # pragma: no cover
-                        raise InternalConsistencyError("radical lattice is not an ideal")
-                    cols.append(int(c) % p)
+                if coords is None:  # pragma: no cover
+                    raise InternalConsistencyError("radical lattice is not an ideal")
+                cols.extend(c % p for c in coords)
             images.append(cols)
         kernel = left_kernel_mod_p(images, p)
         new_rows = [list(v) for v in kernel]

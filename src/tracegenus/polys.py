@@ -108,12 +108,6 @@ class IntPoly:
     def derivative(self):
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def shift_mul(self, k):
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return IntPoly((0,) * k + self.coeffs)
-
     def divmod_monic(self, g):
         """Exact (quotient, remainder) over Z for monic g."""
         if not g.is_monic:

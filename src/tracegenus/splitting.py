@@ -20,7 +20,7 @@ from .errors import (
     WildRamificationError,
 )
 from .linalg import left_kernel_mod_p, rref_mod_p
-from .orders import _multiply_in_order, _radical_kernel, mult_table
+from .orders import QuotientAlgebra, _radical_kernel, frobenius_matrix, mult_table
 
 
 @dataclass(frozen=True)
@@ -66,92 +66,57 @@ def _shape_from_modp_factors(p, factors):
     return SplittingType(p=p, pairs=tuple(pairs))
 
 
-@dataclass(frozen=True)
-class QuotientAlgebra:
-    """Structure constants of O/pO on the order's basis, reduced mod p."""
-
-    p: int
-    dim: int
-    table: tuple  # table[i][j] = coordinate tuple of w_i * w_j mod p
-
-
 def quotient_algebra(max_order, p):
+    """The QuotientAlgebra O/pO of a MaximalOrder O at the prime p, with its
+    table reduced mod p."""
     if not is_prime(p):
         raise InvalidPrimeError("quotient_algebra needs a prime, got %r" % (p,))
     table = mult_table(max_order.order)
-    n = max_order.degree
-    reduced = tuple(
-        tuple(tuple(c % p for c in table[i][j]) for j in range(n)) for i in range(n)
-    )
-    return QuotientAlgebra(p=p, dim=n, table=reduced)
+    reduced = tuple(tuple(tuple(c % p for c in t) for t in row) for row in table)
+    return QuotientAlgebra(p=p, dim=max_order.degree, table=reduced)
 
 
 class _RadicalQuotient:
-    """The semisimple quotient A/N for A = O/pO with nilradical N: coset
-    representatives indexed by the non-pivot coordinates of N's reduced
-    echelon basis."""
+    """The semisimple quotient A/N for A = O/pO (a QuotientAlgebra) with
+    nilradical N: coset representatives indexed by the non-pivot coordinates
+    of N's reduced echelon basis."""
 
-    def __init__(self, table, n, p, radical_rows):
-        self.table = table
-        self.n = n
-        self.p = p
-        rref, pivots = rref_mod_p([list(r) for r in radical_rows], p)
+    def __init__(self, base, radical_rows):
+        self.base = base
+        self.p = base.p
+        rref, pivots = rref_mod_p([list(r) for r in radical_rows], base.p)
         self.rad_rows = rref
         self.rad_pivots = pivots
-        self.free = [j for j in range(n) if j not in set(pivots)]
+        self.free = [j for j in range(base.dim) if j not in set(pivots)]
         self.dim = len(self.free)
 
     def reduce(self, vec):
-        v = [c % self.p for c in vec]
+        v = list(vec)  # base-algebra elements are already reduced mod p
         for row, j in zip(self.rad_rows, self.rad_pivots):
             c = v[j]
             if c:
-                for t in range(self.n):
+                for t in range(self.base.dim):
                     v[t] = (v[t] - c * row[t]) % self.p
         return [v[j] for j in self.free]
 
     def lift(self, u):
-        v = [0] * self.n
+        v = [0] * self.base.dim
         for coord, j in zip(u, self.free):
             v[j] = coord % self.p
         return v
 
     def mul(self, a, b):
-        prod = _multiply_in_order(self.table, self.lift(a), self.lift(b))
-        return self.reduce(prod)
+        return self.reduce(self.base.mul(self.lift(a), self.lift(b)))
 
     def one(self):
-        e = [0] * self.n
-        e[0] = 1  # order basis row 0 is the element 1
-        return self.reduce(e)
-
-    def frobenius_matrix(self):
-        rows = []
-        for i in range(self.dim):
-            e = [1 if j == i else 0 for j in range(self.dim)]
-            rows.append(self._power(e, self.p))
-        return rows
-
-    def _power(self, a, k):
-        result = None
-        base = a
-        while k:
-            if k & 1:
-                result = base if result is None else self.mul(result, base)
-            k >>= 1
-            if k:
-                base = self.mul(base, base)
-        return result if result is not None else self.one()
+        return self.reduce(self.base.one())
 
 
 def _min_poly_mod_p(alg, vec, p):
     """Minimal polynomial of vec in the algebra, by echelon insertion of its
     powers. Returns low-to-high coefficient tuple, monic."""
-    dim = alg.dim if hasattr(alg, "dim") else len(vec)
     echelon = {}
-    combos = {}
     power = alg.one()
-    powers = [power]
     k = 0
     while True:
         v = list(power)
@@ -175,10 +140,9 @@ def _min_poly_mod_p(alg, vec, p):
         combo = [(c * inv) % p for c in combo] + [0]
         echelon[pivot] = (v, combo[: k + 1])
         k += 1
-        if k > dim:  # pragma: no cover
+        if k > alg.dim:  # pragma: no cover
             raise InternalConsistencyError("minimal polynomial exceeded dimension")
         power = alg.mul(power, vec)
-        powers.append(power)
 
 
 def _split_semisimple(alg):
@@ -190,7 +154,7 @@ def _split_semisimple(alg):
     eigenvalues, so recursion always makes progress.
     """
     p = alg.p
-    frob = alg.frobenius_matrix()
+    frob = frobenius_matrix(alg)
     fixed = [[(c - (1 if j == i else 0)) % p for j, c in enumerate(row)] for i, row in enumerate(frob)]
     kernel = left_kernel_mod_p(fixed, p)
     g = len(kernel)
@@ -294,33 +258,16 @@ class _SubAlgebra:
     def one(self):
         return self._coords(self.eps)
 
-    def frobenius_matrix(self):
-        rows = []
-        for i in range(self.dim):
-            e = [1 if j == i else 0 for j in range(self.dim)]
-            rows.append(self._power(e, self.p))
-        return rows
 
-    def _power(self, a, k):
-        result = None
-        base = a
-        while k:
-            if k & 1:
-                result = base if result is None else self.mul(result, base)
-            k >>= 1
-            if k:
-                base = self.mul(base, base)
-        return result if result is not None else self.one()
-
-
-def _lift_idempotent(table, n, p, e0):
-    """Hensel-lift an idempotent of A/N back to A: e <- 3e^2 - 2e^3."""
-    e = [c % p for c in e0]
-    for _ in range(2 * n + 4):
-        e2 = [c % p for c in _multiply_in_order(table, e, e)]
+def _lift_idempotent(alg, e0):
+    """Hensel-lift an idempotent of A/N back to A = alg: e <- 3e^2 - 2e^3."""
+    p = alg.p
+    e = e0
+    for _ in range(2 * alg.dim + 4):
+        e2 = alg.mul(e, e)
         if e2 == e:
             return e
-        e3 = [c % p for c in _multiply_in_order(table, e2, e)]
+        e3 = alg.mul(e2, e)
         e = [(3 * a - 2 * b) % p for a, b in zip(e2, e3)]
     raise InternalConsistencyError("idempotent lift did not stabilize")  # pragma: no cover
 
@@ -350,21 +297,19 @@ def split_prime(max_order, p, method="auto"):
         return _shape_from_modp_factors(
             p, [(g.degree, m) for g, m in modp.factor_mod_p(f, p)]
         )
-    order = max_order.order
-    table = mult_table(order)
-    radical = _radical_kernel(table, n, p)
-    alg = _RadicalQuotient(table, n, p, radical)
-    components = _split_semisimple(alg)
-    if sum(fdeg for _, fdeg in components) != alg.dim:  # pragma: no cover
+    alg = QuotientAlgebra(p=p, dim=n, table=mult_table(max_order.order))
+    semisimple = _RadicalQuotient(alg, _radical_kernel(alg))
+    components = _split_semisimple(semisimple)
+    if sum(fdeg for _, fdeg in components) != semisimple.dim:  # pragma: no cover
         raise InternalConsistencyError("component degrees do not sum to quotient dim")
     pairs = []
     total = 0
     for eps, fdeg in components:
-        lifted = _lift_idempotent(table, n, p, alg.lift(eps))
+        lifted = _lift_idempotent(alg, semisimple.lift(eps))
         rows = []
         for i in range(n):
             e = [1 if j == i else 0 for j in range(n)]
-            rows.append([c % p for c in _multiply_in_order(table, lifted, e)])
+            rows.append(alg.mul(lifted, e))
         rank = len(rref_mod_p(rows, p)[0])
         e_i, rem = divmod(rank, fdeg)
         if rem:  # pragma: no cover

@@ -134,16 +134,12 @@ def alpha_invariant(splitting):
             "alpha invariant needs tame ramification at %d" % p
         )
     u = smallest_nonresidue(p)
-    rep = 1
-    sym = 1
+    rep = u ** (splitting.residue_degree_sum - splitting.g)
     for e, f in splitting.pairs:
         rep *= e ** f
-        sym *= legendre(e, p) ** f
-    k = splitting.residue_degree_sum - splitting.g
-    rep *= u ** k
-    if k % 2 == 1:
-        sym *= legendre(u, p)
-    if sym not in (-1, 1):  # pragma: no cover
+    # tameness and u < p keep p out of rep, so one symbol gives the class
+    sym = legendre(rep, p)
+    if sym == 0:  # pragma: no cover
         raise InternalConsistencyError("alpha class is not a unit square class")
     return AlphaClass(p=p, representative=rep, nonresidue=u, legendre=sym)
 
@@ -164,12 +160,12 @@ def disc_square_class(n, disc_valuation, p):
     q = Fraction(n, n - disc_valuation)
     if q.numerator % p == 0 or q.denominator % p == 0:
         raise OutOfDomainError("square class of %s is not a unit at %d" % (q, p))
-    sym = legendre(q.numerator, p) * legendre(q.denominator, p)
+    rep = q.numerator * q.denominator
     return AlphaClass(
         p=p,
-        representative=q.numerator * q.denominator,
+        representative=rep,
         nonresidue=smallest_nonresidue(p),
-        legendre=sym,
+        legendre=legendre(rep, p),
     )
 
 

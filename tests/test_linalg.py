@@ -3,7 +3,7 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import frac_det, lattice_equal
+from helpers import frac_det, frac_solve, lattice_equal
 from tracegenus.linalg import (
     det_bareiss,
     hnf,
@@ -141,10 +141,18 @@ def test_solve_lower_unit_reconstructs(n, seed):
         for j in range(i):
             basis[i][j] = rng.randint(-9, 9)
         basis[i][i] = rng.choice([1, 2, 3, 5])
+    x0 = [rng.randint(-20, 20) for _ in range(n)]
+    image = [sum(x0[i] * basis[i][j] for i in range(n)) for j in range(n)]
+    assert solve_lower_unit(basis, image) == x0
+    # a random rhs lies in the row lattice exactly when its rational
+    # coordinates (basis^T c = rhs, by the Fraction oracle) are integers
     rhs = [rng.randint(-20, 20) for _ in range(n)]
+    exact = frac_solve([[basis[i][j] for i in range(n)] for j in range(n)], rhs)
     x = solve_lower_unit(basis, rhs)
-    for j in range(n):
-        assert sum(x[i] * basis[i][j] for i in range(n)) == rhs[j]
+    if all(c.denominator == 1 for c in exact):
+        assert x == exact
+    else:
+        assert x is None
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from helpers import is_squarefree_int, quadratic_splitting
 from tracegenus.errors import InvalidPrimeError, OutOfDomainError, WildRamificationError
-from tracegenus.orders import maximal_order
+from tracegenus.orders import frobenius_matrix, maximal_order
 from tracegenus.polys import IntPoly, parse_poly
 from tracegenus.splitting import SplittingType, quotient_algebra, split_prime
 
@@ -144,6 +144,23 @@ def test_quotient_algebra_is_commutative_and_associative():
     vecs.append([1, 2, 0, 1, 0, 2])
     for x in vecs:
         for y in vecs:
+            assert qa.mul(x, y) == mul(x, y)
             assert mul(x, y) == mul(y, x)
             for z in vecs[:3]:
                 assert mul(mul(x, y), z) == mul(x, mul(y, z))
+    assert qa.one() == [1] + [0] * (n - 1)
+    assert all(qa.mul(qa.one(), x) == [c % p for c in x] for x in vecs)
+
+
+@pytest.mark.parametrize("p", [3, 23])
+def test_frobenius_matrix_rows_are_pth_powers(p):
+    mo = maximal_order(parse_poly("x^6 - 2*x^5 + 3*x^4 - 9*x^3 + 8*x^2 - 7*x - 5"))
+    qa = quotient_algebra(mo, p)
+    frob = frobenius_matrix(qa)
+    assert len(frob) == qa.dim
+    for i, row in enumerate(frob):
+        e = [1 if j == i else 0 for j in range(qa.dim)]
+        power = e
+        for _ in range(p - 1):
+            power = qa.mul(power, e)
+        assert row == power
