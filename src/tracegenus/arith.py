@@ -197,9 +197,6 @@ class PrimeFactorization:
     def primes(self):
         return [p for p, _ in self.factors]
 
-    def as_dict(self):
-        return dict(self.factors)
-
 
 def factor_integer(n):
     """Full factorization of a nonzero integer as a PrimeFactorization."""

@@ -36,10 +36,6 @@ class InvalidPrimeError(TraceGenusError):
     """A prime argument that is composite, or 2 where an odd prime is required."""
 
 
-class RankError(TraceGenusError):
-    """Rank-deficient matrix where full rank is a precondition."""
-
-
 class SingularFormError(TraceGenusError):
     """Singular symmetric matrix passed to the signature routine."""
 

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over Z, Q and F_p.
+"""Exact dense linear algebra over Z and F_p.
 
 Matrices are tuples/lists of row lists. Everything follows the row-vector
 convention: vectors multiply matrices from the left, and a matrix's rows are
@@ -6,28 +6,7 @@ the images or basis elements. Sizes here never exceed a few hundred entries,
 so the simple cubic algorithms with bigint entries are the right tool.
 """
 
-from fractions import Fraction
-
-from .errors import RankError, SingularFormError
-
-
-def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            c = ai[k]
-            if c:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] += c * bk[j]
-    return out
+from .errors import SingularFormError
 
 
 # ---------------------------------------------------------------------------
@@ -75,24 +54,6 @@ def _hnf_core(rows, ncols):
                 for j in range(ncols):
                     result[idx][j] -= q * result[below][j]
     return result
-
-
-def hnf(matrix):
-    """Row-style HNF of a full-row-rank matrix; upper triangular staircase,
-    positive pivots, entries above each pivot reduced mod the pivot."""
-    rows = list(matrix)
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    out = _hnf_core(rows, ncols)
-    if len(out) != len(rows):
-        raise RankError("matrix does not have full row rank")
-    return out
-
-
-def hnf_row_lattice(rows, ncols):
-    """HNF basis of the lattice generated by possibly dependent rows."""
-    return _hnf_core(rows, ncols)
 
 
 def hnf_lower(rows, ncols):
@@ -154,41 +115,6 @@ def solve_lower_unit(basis, rhs):
     return x
 
 
-def solve_exact(matrix, rhs):
-    """Solve x * matrix = rhs over Q; None if inconsistent. matrix is square
-    or tall (rows >= rank); rhs a row vector."""
-    # transpose system: matrix^T x^T = rhs^T, augmented Gaussian elimination
-    n = len(matrix)
-    ncols = len(matrix[0])
-    aug = [[Fraction(matrix[i][j]) for i in range(n)] + [Fraction(rhs[j])] for j in range(ncols)]
-    pivot_cols = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, len(aug)):
-            if aug[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = aug[r][c]
-        aug[r] = [v / inv for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][-1] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for row_i, c in enumerate(pivot_cols):
-        x[c] = aug[row_i][-1]
-    return x
-
-
 # ---------------------------------------------------------------------------
 # F_p linear algebra
 
@@ -243,56 +169,39 @@ def left_kernel_mod_p(matrix, p):
 
 def signature_of_symmetric(gram):
     """Signature (positives, negatives) of a nonsingular symmetric integer
-    matrix by exact congruence diagonalization over Q.
+    matrix, by fraction-free symmetric Bareiss elimination.
 
-    Zero-diagonal stretches are handled by splitting off a hyperbolic 2x2
-    block, which contributes (+1, -1) exactly.
+    The live block is always prev times the rational Schur complement of the
+    pivots taken so far, so every division is exact and the rational pivot
+    d / prev is positive exactly when d * prev > 0. When every live diagonal
+    entry is zero, adding row and column j to row and column i (a unimodular
+    congruence) puts 2 * m[i][j] on the diagonal.
     """
-    n = len(gram)
-    m = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
-    live = list(range(n))
+    m = [list(r) for r in gram]
+    live = list(range(len(m)))
+    prev = 1
     pos = neg = 0
     while live:
-        k = next((i for i in live if m[i][i] != 0), None)
-        if k is not None:
-            d = m[k][k]
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            live.remove(k)
-            for i in live:
-                f = m[i][k] / d
-                if f:
-                    for j in live:
-                        m[i][j] -= f * m[k][j]
-                    m[i][k] = Fraction(0)
-            for i in live:
-                m[k][i] = Fraction(0)
-            continue
-        # all remaining diagonal entries are zero
-        found = None
+        k = next((i for i in live if m[i][i]), None)
+        if k is None:
+            k, j = next(((i, j) for i in live for j in live if m[i][j]), (None, None))
+            if k is None:
+                raise SingularFormError("symmetric matrix is singular")
+            for t in live:
+                m[k][t] += m[j][t]
+            for t in live:
+                m[t][k] += m[t][j]
+        d = m[k][k]
+        if d * prev > 0:
+            pos += 1
+        else:
+            neg += 1
+        live.remove(k)
+        mk = m[k]
         for i in live:
+            mi = m[i]
+            c = mi[k]
             for j in live:
-                if i != j and m[i][j] != 0:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if not found:
-            raise SingularFormError("symmetric matrix is singular")
-        i, j = found
-        b = m[i][j]
-        pos += 1
-        neg += 1
-        live.remove(i)
-        live.remove(j)
-        for a in live:
-            ca = m[a][i]
-            cb = m[a][j]
-            if ca or cb:
-                for t in live:
-                    m[a][t] -= (ca * m[j][t] + cb * m[i][t]) / b
-        for a in live:
-            m[i][a] = m[j][a] = m[a][i] = m[a][j] = Fraction(0)
+                mi[j] = (d * mi[j] - c * mk[j]) // prev
+        prev = d
     return pos, neg

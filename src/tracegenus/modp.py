@@ -249,8 +249,3 @@ def factor_mod_p(f, p):
     if check != a:  # pragma: no cover
         raise InternalConsistencyError("mod-p factorization failed to re-multiply")
     return result
-
-
-def is_irreducible_mod_p(f, p):
-    facs = factor_mod_p(f, p)
-    return len(facs) == 1 and facs[0][1] == 1 and facs[0][0].degree == deg(from_intpoly(f, p))

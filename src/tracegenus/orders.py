@@ -52,16 +52,6 @@ class Order:
             raise InternalConsistencyError("order determinant does not divide denom^n")
         return q
 
-    def __contains__(self, element):
-        """element: (IntPoly numerator, int denominator)."""
-        num, den = element
-        if num.degree >= self.degree:
-            num = num.mod_monic(self.poly)
-        # x * (basis_num / denom) = num / den  <=>  x * (den * basis_num) = num * denom
-        rhs = [c * self.denom for c in num.coeffs] + [0] * (self.degree - len(num.coeffs))
-        basis = [[den * c for c in row] for row in self.basis_num]
-        return solve_lower_unit(basis, rhs) is not None
-
 
 @dataclass(frozen=True)
 class MaximalOrder:
@@ -164,7 +154,7 @@ class QuotientAlgebra:
 
     table[i][j] holds the coordinates of w_i * w_j, read mod p: Round 2 and
     split_prime pass the order's integer mult_table as it is, since mul
-    reduces every product, and splitting.quotient_algebra stores it reduced.
+    reduces every product.
     """
 
     p: int
@@ -253,8 +243,9 @@ def _radical_kernel(alg):
     return left_kernel_mod_p(power, p)
 
 
-def pmaximalize(f, p):
+def pmaximalize(f, p, disc_f=None):
     """p-maximal order containing Z[x]/(f), by radical/multiplier enlargement.
+    Callers that already know disc(f) pass it as disc_f.
 
     Independent of dedekind_is_pmaximal on purpose: the agreement of the two
     routes is a tested invariant, not an internal shortcut.
@@ -262,7 +253,8 @@ def pmaximalize(f, p):
     _require_field_poly(f)
     if not is_prime(p):
         raise InvalidPrimeError("pmaximalize needs a prime, got %r" % (p,))
-    disc_f = discriminant(f)
+    if disc_f is None:
+        disc_f = discriminant(f)
     order = equation_order(f, disc_f)
     n = f.degree
     while True:
@@ -324,7 +316,7 @@ def maximal_order(f):
         return MaximalOrder(order=order, index=1, disc_factored=PrimeFactorization(1, ()))
     disc_fact = factor_integer(disc_f)
     square_primes = [p for p, e in disc_fact.factors if e >= 2]
-    locals_ = [pmaximalize(f, p) for p in square_primes]
+    locals_ = [pmaximalize(f, p, disc_f) for p in square_primes]
     if not locals_:
         order = equation_order(f, disc_f)
         return MaximalOrder(order=order, index=1, disc_factored=disc_fact)

@@ -1,14 +1,13 @@
-"""Exact univariate polynomials over Z and Q.
+"""Exact univariate polynomials over Z.
 
-Coefficients are arbitrary-precision ints (or Fractions in the helpers that
-need them), stored lowest degree first. The zero polynomial has an empty
-coefficient tuple and degree -1. Everything here is pure and deterministic;
-resultants use the subresultant PRS rather than any determinant expansion so
-intermediate coefficients stay polynomially bounded.
+Coefficients are arbitrary-precision ints, stored lowest degree first. The
+zero polynomial has an empty coefficient tuple and degree -1. Everything here
+is pure and deterministic; resultants use the subresultant PRS rather than
+any determinant expansion so intermediate coefficients stay polynomially
+bounded.
 """
 
 import re
-from fractions import Fraction
 from math import gcd
 
 from .errors import (
@@ -368,60 +367,28 @@ def discriminant(f):
     return q
 
 
-def squarefree_part(f):
-    """f / gcd(f, f'), primitive, positive lc."""
-    g = poly_gcd(f, f.derivative())
-    if g.degree == 0:
-        return f.primitive()[1]
-    q, r = _frac_divmod(_to_frac(f), _to_frac(g))
-    assert all(x == 0 for x in r)
-    return _from_frac_primitive(q)
-
-
 def is_squarefree(f):
     return poly_gcd(f, f.derivative()).degree == 0
 
 
-# ---------------------------------------------------------------------------
-# rational-coefficient helpers (lists of Fractions, low degree first)
-
-def _to_frac(f):
-    return [Fraction(c) for c in f.coeffs]
-
-
-def _frac_trim(v):
-    while v and v[-1] == 0:
-        v.pop()
-    return v
-
-
-def _frac_divmod(a, b):
-    a = list(a)
-    b = _frac_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    db = len(b) - 1
-    lb = b[-1]
-    _frac_trim(a)
-    if len(a) - 1 < db:
-        return [], a
-    quot = [Fraction(0)] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] / lb
-        if c:
-            quot[i - db] = c
-            for j, bc in enumerate(b):
-                a[i - db + j] -= c * bc
-    return _frac_trim(quot), _frac_trim(a[:db])
-
-
-def _from_frac_primitive(v):
-    """Clear denominators and strip content; positive lc."""
-    den = 1
-    for c in v:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in v]
-    return IntPoly(ints).primitive()[1]
+def exact_quotient(a, b):
+    """a / b in Z[x]. Raises InternalConsistencyError unless the division is
+    exact with an integral quotient; for primitive b that is divisibility
+    over Q, by Gauss's lemma."""
+    db = b.degree
+    rem = list(a.coeffs)
+    quot = [0] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        q, r = divmod(rem[i], b.lc)
+        if r:
+            raise InternalConsistencyError("polynomial division is not exact")
+        if q:
+            quot[i - db] = q
+            for j, bc in enumerate(b.coeffs):
+                rem[i - db + j] -= q * bc
+    if any(rem[:db]):
+        raise InternalConsistencyError("polynomial division is not exact")
+    return IntPoly(quot)
 
 
 def sturm_count_real_roots(f):
@@ -430,29 +397,22 @@ def sturm_count_real_roots(f):
         raise DegenerateInputError("Sturm count of a constant polynomial")
     if not is_squarefree(f):
         raise OutOfDomainError("Sturm count requires a squarefree polynomial")
-    chain = [_to_frac(f), _to_frac(f.derivative())]
-    while True:
-        last = chain[-1]
-        if not last or len(last) - 1 <= 0:
-            break
-        _, r = _frac_divmod(chain[-2], last)
-        r = [-c for c in r]
-        if not _frac_trim(r):
+    # Each member is a positive multiple of the classical Sturm sequence
+    # member: the negated pseudo-remainder, sign-corrected when the
+    # pseudo-division multiplier lc^(da-db+1) is negative, over its content.
+    chain = [f, f.derivative()]
+    while chain[-1].degree > 0:
+        a, b = chain[-2], chain[-1]
+        r = pseudo_rem(a, b)
+        if r.is_zero:
             break  # cannot happen for squarefree input
-        chain.append(r)
+        if b.lc > 0 or (a.degree - b.degree) % 2:
+            r = -r
+        chain.append(_scalar_div(r, r.content()))
+    at_pos = [1 if v.lc > 0 else -1 for v in chain]
+    at_neg = [s if v.degree % 2 == 0 else -s for s, v in zip(at_pos, chain)]
 
     def variations(signs):
-        signs = [s for s in signs if s != 0]
-        return sum(1 for x, y in zip(signs, signs[1:]) if x * y < 0)
+        return sum(x != y for x, y in zip(signs, signs[1:]))
 
-    at_pos = []
-    at_neg = []
-    for v in chain:
-        if not v:
-            continue
-        lead = v[-1]
-        deg = len(v) - 1
-        sp = 1 if lead > 0 else -1
-        at_pos.append(sp)
-        at_neg.append(sp if deg % 2 == 0 else -sp)
     return variations(at_neg) - variations(at_pos)

@@ -66,16 +66,6 @@ def _shape_from_modp_factors(p, factors):
     return SplittingType(p=p, pairs=tuple(pairs))
 
 
-def quotient_algebra(max_order, p):
-    """The QuotientAlgebra O/pO of a MaximalOrder O at the prime p, with its
-    table reduced mod p."""
-    if not is_prime(p):
-        raise InvalidPrimeError("quotient_algebra needs a prime, got %r" % (p,))
-    table = mult_table(max_order.order)
-    reduced = tuple(tuple(tuple(c % p for c in t) for t in row) for row in table)
-    return QuotientAlgebra(p=p, dim=max_order.degree, table=reduced)
-
-
 class _RadicalQuotient:
     """The semisimple quotient A/N for A = O/pO (a QuotientAlgebra) with
     nilradical N: coset representatives indexed by the non-pivot coordinates

@@ -12,7 +12,7 @@ whose Legendre symbol is what the spinor-genus comparison consumes.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from .arith import legendre, smallest_nonresidue
 from .errors import (
@@ -157,10 +157,12 @@ def disc_square_class(n, disc_valuation, p):
         raise OutOfDomainError(
             "disc valuation %d outside (0, %d)" % (disc_valuation, n)
         )
-    q = Fraction(n, n - disc_valuation)
-    if q.numerator % p == 0 or q.denominator % p == 0:
+    g = gcd(n, n - disc_valuation)
+    num, den = n // g, (n - disc_valuation) // g
+    if num % p == 0 or den % p == 0:
+        q = num if den == 1 else "%d/%d" % (num, den)
         raise OutOfDomainError("square class of %s is not a unit at %d" % (q, p))
-    rep = q.numerator * q.denominator
+    rep = num * den
     return AlphaClass(
         p=p,
         representative=rep,

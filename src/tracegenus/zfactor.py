@@ -5,11 +5,11 @@ substitution F(x) = lc^(deg-1) * f(x/lc).
 """
 
 from itertools import combinations
-from math import gcd, isqrt
+from math import isqrt
 
 from . import modp
 from .errors import DegenerateInputError, InternalConsistencyError
-from .polys import IntPoly, _frac_divmod, _from_frac_primitive, _to_frac, poly_gcd
+from .polys import IntPoly, exact_quotient, poly_gcd
 
 _LIFT_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
 
@@ -20,27 +20,19 @@ def yun_squarefree(f):
     g = poly_gcd(f, d)
     if g.degree == 0:
         return [(f.primitive()[1], 1)]
-    fg = _to_frac(g)
-    c, _ = _frac_divmod(_to_frac(f), fg)
-    w, _ = _frac_divmod(_to_frac(d), fg)
-    z = [a - b for a, b in zip_pad(w, _frac_derivative(c))]
+    # every divisor below is primitive, so each quotient is integral (Gauss)
+    c = exact_quotient(f, g)
+    z = exact_quotient(d, g) - c.derivative()
     out = []
     i = 1
-    while len(c) - 1 > 0:
-        ci = _from_frac_primitive(c)
-        zi = _from_frac_primitive(z) if any(z) else IntPoly()
-        fi = poly_gcd(ci, zi) if not zi.is_zero else ci
+    while c.degree > 0:
+        fi = poly_gcd(c, z)
         if fi.degree >= 1:
             out.append((fi, i))
-        c, _ = _frac_divmod(c, _to_frac(fi))
-        z_new, _ = _frac_divmod(z, _to_frac(fi))
-        z = [a - b for a, b in zip_pad(z_new, _frac_derivative(c))]
+        c = exact_quotient(c, fi)
+        z = exact_quotient(z, fi) - c.derivative()
         i += 1
     return out
-
-
-def _frac_derivative(v):
-    return [k * c for k, c in enumerate(v)][1:]
 
 
 def zip_pad(a, b):
@@ -273,16 +265,16 @@ def _factor_squarefree_primitive(f):
         raise InternalConsistencyError("negative leading coefficient")
     # F(x) = l^(n-1) f(x/l) is monic with integer coefficients
     n = f.degree
-    F = IntPoly([f.coeffs[i] * l ** (n - 1 - i) for i in range(n + 1)])
+    F = IntPoly([f.coeffs[i] * l ** (n - 1 - i) for i in range(n)] + [1])
     out = []
     residual = f
     for G in _factor_monic_squarefree(F):
         g = IntPoly([G.coeffs[i] * l ** i for i in range(len(G.coeffs))]).primitive()[1]
         out.append(g)
-        fr, rem = _frac_divmod(_to_frac(residual), _to_frac(g))
-        if any(rem):  # pragma: no cover
-            raise InternalConsistencyError("monicizing substitution lost a factor")
-        residual = _from_frac_primitive(fr) if len(fr) > 1 else IntPoly([1])
+        try:
+            residual = exact_quotient(residual, g)
+        except InternalConsistencyError:  # pragma: no cover
+            raise InternalConsistencyError("monicizing substitution lost a factor") from None
     return sorted(out, key=lambda g: (g.degree, g.coeffs))
 
 

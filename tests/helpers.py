@@ -14,6 +14,14 @@ from fractions import Fraction
 # exact linear algebra over Q
 
 
+def identity_matrix(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 def frac_det(rows):
     """Determinant by plain Gaussian elimination over Fraction."""
     m = [[Fraction(x) for x in row] for row in rows]

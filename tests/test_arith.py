@@ -130,7 +130,7 @@ def test_factorization_accessors():
     assert pf.value() == -309123
     assert pf.primes() == [3, 107]
     assert pf.valuation(3) == 3 and pf.valuation(107) == 2 and pf.valuation(5) == 0
-    assert pf.as_dict() == {3: 3, 107: 2}
+    assert pf.factors == ((3, 3), (107, 2))
 
 
 def test_factor_zero_rejected():

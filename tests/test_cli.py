@@ -288,6 +288,26 @@ def test_cli_import_leaves_out_process_pool(repo_root):
     assert proc.stdout.strip() == "False"
 
 
+def test_analysis_imports_no_rational_arithmetic(repo_root):
+    # the pipeline is integer-only; fractions (and the decimal it pulls in)
+    # would cost every CLI start its import time
+    code = (
+        "import sys, tracegenus.cli\n"
+        "assert tracegenus.cli.main(['analyze', 'x^6 - 2*x^5 + 3*x^4 - 9*x^3 + 8*x^2 - 7*x - 5',"
+        " '--no-cache']) == 0\n"
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)), file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(repo_root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # cache
 

@@ -3,18 +3,13 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import frac_det, frac_solve, lattice_equal
+from helpers import frac_det, frac_solve, identity_matrix, lattice_equal, mat_mul
 from tracegenus.linalg import (
     det_bareiss,
-    hnf,
     hnf_lower,
-    hnf_row_lattice,
-    identity_matrix,
     left_kernel_mod_p,
-    mat_mul,
     rref_mod_p,
     signature_of_symmetric,
-    solve_exact,
     solve_lower_unit,
 )
 
@@ -71,26 +66,27 @@ def nonsingular_matrices(n_max=4, bound=12):
 def test_hnf_is_canonical_under_row_operations(m, seed):
     n = len(m)
     u = unimodular(n, seed)
-    assert hnf(mat_mul(u, m)) == hnf(m)
+    assert hnf_lower(mat_mul(u, m), n) == hnf_lower(m, n)
 
 
 @given(nonsingular_matrices())
 def test_hnf_spans_the_same_lattice(m):
-    h = hnf(m)
+    h = hnf_lower(m, len(m))
     assert lattice_equal(m, 1, h, 1)
 
 
 @given(nonsingular_matrices())
 def test_hnf_shape(m):
-    h = hnf(m)
-    n = len(h)
+    n = len(m)
+    h = hnf_lower(m, n)
+    assert len(h) == n
     for i in range(n):
         assert h[i][i] > 0
-        for j in range(i):
-            assert h[i][j] == 0  # upper triangular
-        for r in range(i):
-            assert 0 <= h[r][i] < h[i][i]  # reduced above the pivot
-    assert hnf(h) == h  # idempotent
+        for j in range(i + 1, n):
+            assert h[i][j] == 0  # lower triangular
+        for r in range(i + 1, n):
+            assert 0 <= h[r][i] < h[i][i]  # reduced below the pivot
+    assert hnf_lower(h, n) == h  # idempotent
 
 
 @given(nonsingular_matrices())
@@ -110,7 +106,7 @@ def test_hnf_lower_mirrors_hnf(m):
 
 def test_hnf_row_lattice_drops_dependent_rows():
     rows = [[2, 0], [4, 0], [0, 1], [2, 1]]
-    h = hnf_row_lattice(rows, 2)
+    h = hnf_lower(rows, 2)
     assert h == [[2, 0], [0, 1]]
     # every original row is a member of the reduced lattice
     assert lattice_equal(h, 1, [[2, 0], [0, 1]], 1)
@@ -118,19 +114,6 @@ def test_hnf_row_lattice_drops_dependent_rows():
 
 # ---------------------------------------------------------------------------
 # exact solving
-
-
-@given(nonsingular_matrices(n_max=4, bound=9), st.lists(st.integers(-9, 9), min_size=1, max_size=4))
-def test_solve_exact_reconstructs(m, b):
-    if len(b) != len(m):
-        b = (b * 4)[: len(m)]
-    x = solve_exact(m, b)  # row-vector system x * m = b
-    for j in range(len(m)):
-        assert sum(x[i] * m[i][j] for i in range(len(m))) == b[j]
-
-
-def test_solve_exact_inconsistent_returns_none():
-    assert solve_exact([[1, 0], [2, 0]], [0, 1]) is None
 
 
 @given(st.integers(1, 4), st.integers(0, 2**30))
@@ -238,3 +221,26 @@ def test_signature_is_congruence_invariant(n, seed1, seed2):
     ut = [[u[j][i] for j in range(n)] for i in range(n)]
     transformed = mat_mul(mat_mul(u, gram), ut)
     assert signature_of_symmetric(transformed) == signature_of_symmetric(gram)
+
+
+@given(
+    st.integers(1, 3),
+    st.lists(st.integers(-7, 7).filter(bool), max_size=3),
+    st.integers(0, 2**30),
+)
+def test_signature_of_hyperbolic_planes(h, diag, seed):
+    """h hyperbolic planes (zero diagonal) plus diag(a_i), as given and
+    conjugated by a unimodular matrix, has signature (pos + h, neg + h)."""
+    n = 2 * h + len(diag)
+    form = [[0] * n for _ in range(n)]
+    for k in range(h):
+        form[2 * k][2 * k + 1] = form[2 * k + 1][2 * k] = 1
+    for k, a in enumerate(diag):
+        form[2 * h + k][2 * h + k] = a
+    pos = sum(a > 0 for a in diag)
+    expected = (pos + h, len(diag) - pos + h)
+    u = unimodular(n, seed)
+    ut = [[u[j][i] for j in range(n)] for i in range(n)]
+    assert signature_of_symmetric(form) == expected
+    assert signature_of_symmetric(mat_mul(mat_mul(u, form), ut)) == expected
+

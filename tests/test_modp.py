@@ -99,7 +99,7 @@ def test_factor_mod_p_factors_are_irreducible(d, seed, p):
     for g, _ in modp.factor_mod_p(f, p):
         gp = modp.from_intpoly(g, p)
         assert brute_irreducible(gp, p)
-        assert modp.is_irreducible_mod_p(g, p)
+        assert modp.factor_mod_p(g, p) == [(g, 1)]
 
 
 @given(st.integers(2, 6), st.integers(0, 2**30), st.sampled_from(SMALL_PRIMES))
@@ -121,10 +121,13 @@ def test_factor_mod_p_frozen_examples():
 
 
 def test_is_irreducible_mod_p_knowns():
-    assert modp.is_irreducible_mod_p(parse_poly("x^2 + 1"), 3)
-    assert not modp.is_irreducible_mod_p(parse_poly("x^2 + 1"), 5)
-    assert modp.is_irreducible_mod_p(parse_poly("x^3 - x - 1"), 3)  # no roots mod 3
-    assert not modp.is_irreducible_mod_p(parse_poly("x^2 - 1"), 7)
+    def shape(text, p):
+        return [(g.degree, m) for g, m in modp.factor_mod_p(parse_poly(text), p)]
+
+    assert shape("x^2 + 1", 3) == [(2, 1)]
+    assert shape("x^2 + 1", 5) == [(1, 1), (1, 1)]
+    assert shape("x^3 - x - 1", 3) == [(3, 1)]  # no roots mod 3
+    assert shape("x^2 - 1", 7) == [(1, 1), (1, 1)]
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**30), st.sampled_from([2, 3, 5]))

@@ -3,18 +3,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import count_real_roots, sylvester_disc, sylvester_resultant
-from tracegenus.errors import DegenerateInputError, ParseError
+from tracegenus.errors import DegenerateInputError, InternalConsistencyError, ParseError
 from tracegenus.polys import (
     IntPoly,
     coeff_csv,
     discriminant,
+    exact_quotient,
     is_squarefree,
     parse_poly,
     poly_gcd,
     poly_to_string,
     pseudo_rem,
     resultant,
-    squarefree_part,
     sturm_count_real_roots,
 )
 
@@ -140,13 +140,28 @@ def test_gcd_of_known_common_factor():
     assert d == parse_poly("x^2 - 1")
 
 
-def test_squarefree_part():
+def squarefree_part(f):
+    return exact_quotient(f, poly_gcd(f, f.derivative()))
+
+
+@given(polys(max_degree=3, coeff=st.integers(-9, 9)), polys(max_degree=3, coeff=st.integers(-9, 9)))
+def test_exact_quotient_inverts_multiplication(a, b):
+    b = b.primitive()[1]
+    assert exact_quotient(a * b, b) == a
+
+
+def test_exact_quotient_hand_values():
     f = parse_poly("x - 1") * parse_poly("x - 1") * parse_poly("x + 2")
     assert not is_squarefree(f)
     assert squarefree_part(f) == parse_poly("x - 1") * parse_poly("x + 2")
     g = parse_poly("x^3 - x - 1")
     assert is_squarefree(g)
     assert squarefree_part(g) == g
+    assert exact_quotient(IntPoly(), g).is_zero
+    with pytest.raises(InternalConsistencyError):
+        exact_quotient(parse_poly("x^2 + 1"), parse_poly("x + 1"))  # remainder 2
+    with pytest.raises(InternalConsistencyError):
+        exact_quotient(parse_poly("x + 1"), parse_poly("2*x + 1"))  # quotient 1/2
 
 
 # ---------------------------------------------------------------------------

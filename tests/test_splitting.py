@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from helpers import is_squarefree_int, quadratic_splitting
 from tracegenus.errors import InvalidPrimeError, OutOfDomainError, WildRamificationError
-from tracegenus.orders import frobenius_matrix, maximal_order
+from tracegenus.orders import QuotientAlgebra, frobenius_matrix, maximal_order, mult_table
 from tracegenus.polys import IntPoly, parse_poly
-from tracegenus.splitting import SplittingType, quotient_algebra, split_prime
+from tracegenus.splitting import SplittingType, split_prime
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -127,7 +127,7 @@ def test_split_prime_rejects_composite():
 
 def test_quotient_algebra_is_commutative_and_associative():
     mo = maximal_order(parse_poly("x^6 - 2*x^5 + 3*x^4 - 9*x^3 + 8*x^2 - 7*x - 5"))
-    qa = quotient_algebra(mo, 3)
+    qa = QuotientAlgebra(3, mo.degree, mult_table(mo.order))
     n, p = qa.dim, qa.p
 
     def mul(x, y):
@@ -155,7 +155,7 @@ def test_quotient_algebra_is_commutative_and_associative():
 @pytest.mark.parametrize("p", [3, 23])
 def test_frobenius_matrix_rows_are_pth_powers(p):
     mo = maximal_order(parse_poly("x^6 - 2*x^5 + 3*x^4 - 9*x^3 + 8*x^2 - 7*x - 5"))
-    qa = quotient_algebra(mo, p)
+    qa = QuotientAlgebra(p, mo.degree, mult_table(mo.order))
     frob = frobenius_matrix(qa)
     assert len(frob) == qa.dim
     for i, row in enumerate(frob):

@@ -205,6 +205,10 @@ def test_disc_square_class_domain():
         disc_square_class(4, 4, 5)  # valuation out of range
     with pytest.raises(OutOfDomainError):
         disc_square_class(6, 4, 3)  # 6/2 = 3 is not a unit mod 3
+    with pytest.raises(OutOfDomainError, match=r"^square class of 3 is not a unit at 3$"):
+        disc_square_class(9, 6, 3)  # 9/3 reduces to the integer 3
+    with pytest.raises(OutOfDomainError, match=r"^square class of 3/2 is not a unit at 3$"):
+        disc_square_class(9, 3, 3)
 
 
 def test_verify_alpha_formula_on_gamma_fields(corpus_analyses):

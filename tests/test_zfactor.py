@@ -119,6 +119,15 @@ def test_yun_squarefree_structure():
     assert (parse_poly("x - 1"), 2) in parts
 
 
+def test_factor_non_monic_through_the_monicizing_substitution():
+    a, b, c = parse_poly("2*x - 1"), parse_poly("3*x^2 - 2"), parse_poly("2*x^2 + 1")
+    f = a * a * b * c * 6
+    assert factor_over_z(f) == (6, [(a, 2), (b, 1), (c, 1)])
+    assert factor_over_z(parse_poly("6*x^2 + x - 2")) == (1, [(a, 1), (parse_poly("3*x + 2"), 1)])
+    assert is_irreducible(c)
+    assert not is_irreducible(parse_poly("4*x^2 - 1"))
+
+
 def test_factor_rejects_zero():
     with pytest.raises(DegenerateInputError):
         factor_over_z(IntPoly((0,)))
