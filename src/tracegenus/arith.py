@@ -15,6 +15,7 @@ FactorizationLimitError rather than looping.
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .errors import DegenerateInputError, FactorizationLimitError, InvalidPrimeError
@@ -51,9 +52,15 @@ def _small_primes(limit):
 _PRIMES_BELOW_1000 = _small_primes(1000)
 
 
+@lru_cache(maxsize=1024)
 def is_prime(n):
     """Primality of an integer: proven for n < psi_13 ~ 3.3e24 by
-    Miller-Rabin with size-graded bases, BPSW-probable from psi_13 on."""
+    Miller-Rabin with size-graded bases, BPSW-probable from psi_13 on.
+
+    Cached for the process (lru_cache, 1024 entries): a prime that
+    factor_integer has just proved is re-checked by legendre, factor_mod_p,
+    split_prime and pmaximalize at no further cost, and a repeated input,
+    as in another field with the same prime, is a hit too."""
     if n < 2:
         return False
     for p in _PRIMES_BELOW_1000:

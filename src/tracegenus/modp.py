@@ -1,9 +1,11 @@
 """Polynomial arithmetic and factorization over prime fields.
 
 Polynomials over F_p are plain tuples of ints in [0, p), lowest degree
-first, () meaning zero. Factorization is squarefree decomposition, then
-distinct-degree splitting, then Cantor-Zassenhaus equal-degree splitting.
-The only randomness is a random.Random seeded by sha256 of (p, coeffs), so
+first, () meaning zero. Factorization is squarefree decomposition and
+distinct-degree splitting (degree_blocks), then Cantor-Zassenhaus
+equal-degree splitting (split_blocks). factor_degrees stops after the
+distinct-degree step and is deterministic; the only randomness is the
+equal-degree step, a random.Random seeded by sha256 of (p, coeffs), so
 identical calls take identical paths on every platform.
 """
 
@@ -55,32 +57,41 @@ def scal(a, k, p):
     return norm([c * k for c in a], p)
 
 
-def mul(a, b, p):
+def _product(a, b):
+    """a*b with coefficients left unreduced."""
     if not a or not b:
-        return ()
+        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, c in enumerate(a):
         if c:
             for j, d in enumerate(b):
                 out[i + j] += c * d
-    return norm(out, p)
+    return out
+
+
+def mul(a, b, p):
+    return norm(_product(a, b), p)
 
 
 def divmod_p(a, b, p):
+    """(q, r) with a = q*b + r over F_p and deg r < deg b. Coefficients are
+    reduced mod p only as they become the leading one, and once at the end."""
     if not b:
         raise ZeroDivisionError("mod-p division by zero polynomial")
-    a = list(a)
     db = deg(b)
-    inv = pow(b[-1], -1, p)
     if deg(a) < db:
         return (), norm(a, p)
+    a = list(a)
+    inv = 1 if b[-1] == 1 else pow(b[-1], -1, p)
     q = [0] * (len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
-        c = (a[i] * inv) % p
+        c = a[i] % p
         if c:
+            if inv != 1:
+                c = c * inv % p
             q[i - db] = c
-            for j, bc in enumerate(b):
-                a[i - db + j] = (a[i - db + j] - c * bc) % p
+            for j in range(db):
+                a[i - db + j] -= c * b[j]
     return norm(q, p), norm(a[:db], p)
 
 
@@ -103,14 +114,18 @@ def gcd_p(a, b, p):
 
 
 def pow_mod(base, e, modulus, p):
-    result = (1,)
+    """base^e mod modulus over F_p, left to right over the bits of e: each
+    step squares, multiplies by base on a 1 bit and reduces once."""
+    if e == 0:
+        return (1,)
     base = mod_p(base, modulus, p)
-    while e > 0:
-        if e & 1:
-            result = mod_p(mul(result, base, p), modulus, p)
-        base = mod_p(mul(base, base, p), modulus, p)
-        e >>= 1
-    return result
+    h = base
+    for bit in bin(e)[3:]:
+        h = _product(h, h)
+        if bit == "1":
+            h = _product(h, base)
+        h = mod_p(h, modulus, p)
+    return h
 
 
 def derivative(a, p):
@@ -219,6 +234,60 @@ def _seed_for(parts):
     return int.from_bytes(h[:8], "big")
 
 
+def degree_blocks(f, p):
+    """(monic f mod p, [(distinct-degree block, d, multiplicity)]), checked
+    to re-multiply to f. Raises InvalidPrimeError for composite p and
+    DegenerateInputError when f vanishes mod p."""
+    if not is_prime(p):
+        raise InvalidPrimeError("mod-p factoring needs a prime modulus, got %r" % (p,))
+    a = from_intpoly(f, p)
+    if not a:
+        raise DegenerateInputError("polynomial vanishes mod %d" % p)
+    a = monic(a, p)
+    blocks = [
+        (prod, d, mult)
+        for sqf, mult in squarefree_decomposition(a, p)
+        for prod, d in distinct_degree(sqf, p)
+    ]
+    check = (1,)
+    for prod, _, mult in blocks:
+        for _ in range(mult):
+            check = mul(check, prod, p)
+    if check != a:  # pragma: no cover
+        raise InternalConsistencyError("mod-p factorization failed to re-multiply")
+    return a, blocks
+
+
+def shape(blocks):
+    """Sorted [(degree, multiplicity)], one pair per irreducible factor, of
+    the blocks of degree_blocks."""
+    return sorted((d, mult) for prod, d, mult in blocks for _ in range(deg(prod) // d))
+
+
+def factor_degrees(f, p):
+    """The shape of factor_mod_p(f, p), without splitting equal degrees.
+    Raises as factor_mod_p does."""
+    return shape(degree_blocks(f, p)[1])
+
+
+def split_blocks(a, blocks, p):
+    """factor_mod_p's result from (a, blocks) = degree_blocks(f, p): each
+    block is split by Cantor-Zassenhaus and checked to re-multiply to it."""
+    rng = random.Random(_seed_for(("factor_mod_p", p, a)))
+    out = {}
+    for prod, d, mult in blocks:
+        pieces = equal_degree(prod, d, p, rng)
+        check = (1,)
+        for irr in pieces:
+            check = mul(check, irr, p)
+        if check != prod:  # pragma: no cover
+            raise InternalConsistencyError("mod-p factorization failed to re-multiply")
+        for irr in pieces:
+            key = to_intpoly(irr)
+            out[key] = out.get(key, 0) + mult
+    return sorted(out.items(), key=lambda t: (t[0].degree, t[0].coeffs))
+
+
 def factor_mod_p(f, p):
     """Factor f over F_p: sorted [(IntPoly factor with coeffs in [0,p), mult)].
 
@@ -226,26 +295,4 @@ def factor_mod_p(f, p):
     Raises InvalidPrimeError for composite p, DegenerateInputError when f
     vanishes mod p.
     """
-    if not is_prime(p):
-        raise InvalidPrimeError("factor_mod_p needs a prime modulus, got %r" % (p,))
-    a = from_intpoly(f, p)
-    if not a:
-        raise DegenerateInputError("polynomial vanishes mod %d" % p)
-    if deg(a) == 0:
-        return []
-    a = monic(a, p)
-    rng = random.Random(_seed_for(("factor_mod_p", p, a)))
-    out = {}
-    for sqf, mult in squarefree_decomposition(a, p):
-        for prod, d in distinct_degree(sqf, p):
-            for irr in equal_degree(prod, d, p, rng):
-                key = to_intpoly(irr)
-                out[key] = out.get(key, 0) + mult
-    result = sorted(out.items(), key=lambda t: (t[0].degree, t[0].coeffs))
-    check = (1,)
-    for g, m in result:
-        for _ in range(m):
-            check = mul(check, from_intpoly(g, p), p)
-    if check != a:  # pragma: no cover
-        raise InternalConsistencyError("mod-p factorization failed to re-multiply")
-    return result
+    return split_blocks(*degree_blocks(f, p), p)

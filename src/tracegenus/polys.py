@@ -367,10 +367,6 @@ def discriminant(f):
     return q
 
 
-def is_squarefree(f):
-    return poly_gcd(f, f.derivative()).degree == 0
-
-
 def exact_quotient(a, b):
     """a / b in Z[x]. Raises InternalConsistencyError unless the division is
     exact with an integral quotient; for primitive b that is divisibility
@@ -395,8 +391,6 @@ def sturm_count_real_roots(f):
     """Number of distinct real roots of a squarefree f, by Sturm's theorem."""
     if f.degree < 1:
         raise DegenerateInputError("Sturm count of a constant polynomial")
-    if not is_squarefree(f):
-        raise OutOfDomainError("Sturm count requires a squarefree polynomial")
     # Each member is a positive multiple of the classical Sturm sequence
     # member: the negated pseudo-remainder, sign-corrected when the
     # pseudo-division multiplier lc^(da-db+1) is negative, over its content.
@@ -405,7 +399,8 @@ def sturm_count_real_roots(f):
         a, b = chain[-2], chain[-1]
         r = pseudo_rem(a, b)
         if r.is_zero:
-            break  # cannot happen for squarefree input
+            # the chain stopped at gcd(f, f') of positive degree
+            raise OutOfDomainError("Sturm count requires a squarefree polynomial")
         if b.lc > 0 or (a.degree - b.degree) % 2:
             r = -r
         chain.append(_scalar_div(r, r.content()))

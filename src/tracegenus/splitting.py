@@ -284,9 +284,7 @@ def split_prime(max_order, p, method="auto"):
             "mod-%d polynomial shape is unreliable: %d divides the index" % (p, p)
         )
     if method != "algebra" and max_order.index % p != 0:
-        return _shape_from_modp_factors(
-            p, [(g.degree, m) for g, m in modp.factor_mod_p(f, p)]
-        )
+        return _shape_from_modp_factors(p, modp.factor_degrees(f, p))
     alg = QuotientAlgebra(p=p, dim=n, table=mult_table(max_order.order))
     semisimple = _RadicalQuotient(alg, _radical_kernel(alg))
     components = _split_semisimple(semisimple)

@@ -1,13 +1,17 @@
-"""Factorization in Z[x]: Yun squarefree split, quadratic Hensel lifting of a
-mod-p factorization above the Mignotte bound, and Zassenhaus subset
-recombination. Non-monic input is routed through the classical monicizing
-substitution F(x) = lc^(deg-1) * f(x/lc).
+"""Factorization in Z[x]: Yun squarefree split, degree analysis, quadratic
+Hensel lifting of a mod-p factorization above the Mignotte bound, and
+Zassenhaus subset recombination. Degree analysis reads the mod-p factor
+degrees at up to 5 good primes; when no proper factor degree is allowed by
+all of them, f is irreducible and nothing is lifted. Otherwise the lift runs
+at the good prime with the fewest local factors. Non-monic input is routed
+through the classical monicizing substitution F(x) = lc^(deg-1) * f(x/lc).
 """
 
-from itertools import combinations
+from itertools import chain, combinations, count
 from math import isqrt
 
 from . import modp
+from .arith import is_prime
 from .errors import DegenerateInputError, InternalConsistencyError
 from .polys import IntPoly, exact_quotient, poly_gcd
 
@@ -186,6 +190,20 @@ def _lift_tree(f_coeffs, factors, p, target):
     return left + right, m
 
 
+def _good_blocks(f):
+    """(p, modp.degree_blocks(f, p)) at up to 5 primes of _LIFT_PRIMES where
+    f stays squarefree; failing those, at the first such prime above 67 (a
+    squarefree f has only finitely many bad primes)."""
+    found = 0
+    for p in chain(_LIFT_PRIMES, filter(is_prime, count(71, 2))):
+        if found == 5 or (found and p > 67):
+            return
+        a, blocks = modp.degree_blocks(f, p)
+        if all(mult == 1 for _, _, mult in blocks):
+            found += 1
+            yield p, a, blocks
+
+
 def _factor_monic_squarefree(f):
     """Irreducible (monic) factors of a monic squarefree integer polynomial."""
     n = f.degree
@@ -194,31 +212,22 @@ def _factor_monic_squarefree(f):
     disc_like = poly_gcd(f, f.derivative())
     if disc_like.degree != 0:  # pragma: no cover
         raise InternalConsistencyError("expected squarefree input")
-    p = None
-    for cand in _LIFT_PRIMES:
-        a = modp.from_intpoly(f, cand)
-        if modp.deg(a) != n:
-            continue
-        if modp.deg(modp.gcd_p(a, modp.derivative(a, cand), cand)) == 0:
-            p = cand
-            break
-    if p is None:  # pragma: no cover
-        # fall back to scanning odd primes upward; squarefree f has only
-        # finitely many bad primes
-        from .arith import is_prime
-
-        cand = 71
-        while p is None:
-            if is_prime(cand):
-                a = modp.from_intpoly(f, cand)
-                if modp.deg(a) == n and modp.deg(
-                    modp.gcd_p(a, modp.derivative(a, cand), cand)
-                ) == 0:
-                    p = cand
-            cand += 2
-    local = [fac for fac, _ in modp.factor_mod_p(f, p)]
-    if len(local) == 1:
-        return [f]
+    # degree analysis: a good prime's shape allows only the subset sums of
+    # its local degrees as degrees of a proper factor over Z
+    allowed = set(range(1, n))
+    best = None
+    for p, a, blocks in _good_blocks(f):
+        shape = modp.shape(blocks)
+        sums = {0}
+        for d, _ in shape:
+            sums |= {s + d for s in sums}
+        allowed &= sums
+        if not allowed:
+            return [f]
+        if best is None or len(shape) < best[0]:
+            best = len(shape), p, a, blocks
+    _, p, a, blocks = best
+    local = [fac for fac, _ in modp.split_blocks(a, blocks, p)]
     bound = 2 * (2 ** n) * _l2_norm_ceil(f) + 1
     local_tuples = sorted(
         (modp.from_intpoly(fac, p) for fac in local), key=lambda t: (len(t), t)

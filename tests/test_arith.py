@@ -200,6 +200,14 @@ def test_smallest_nonresidue_large_prime(monkeypatch, p):
     assert calls == [p]
 
 
+def test_a_prime_is_proven_once():
+    p = 10**21 + 117  # 22 digits
+    is_prime.cache_clear()
+    symbols = [legendre(a, p) for a in range(2, 30)]
+    assert len(symbols) == 28
+    assert is_prime.cache_info().misses == 1
+
+
 def test_smallest_nonresidue_is_prime_itself():
     # the least nonresidue is always prime: a composite one would have a
     # nonresidue factor below it

@@ -5,10 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tracegenus import modp
-from tracegenus.errors import InvalidPrimeError
+from tracegenus.errors import DegenerateInputError, InvalidPrimeError
 from tracegenus.polys import parse_poly
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
+# 2^31 - 1, 10^12 + 39, a 22-digit prime and 10^18 + 3
+LARGE_PRIMES = [2**31 - 1, 10**12 + 39, 10**21 + 117, 10**18 + 3]
 
 
 def random_tuple_poly(p, degree, seed):
@@ -45,8 +47,14 @@ def brute_irreducible(fp, p):
 # arithmetic plumbing
 
 
-@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**30), st.sampled_from(SMALL_PRIMES))
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(0, 2**30),
+    st.sampled_from(SMALL_PRIMES + LARGE_PRIMES),
+)
 def test_divmod_reconstructs(da, db, seed, p):
+    # divisors are monic only by chance: their leading coefficient is random
     a = random_tuple_poly(p, da, seed)
     b = random_tuple_poly(p, db, seed + 1)
     q, r = modp.divmod_p(a, b, p)
@@ -74,8 +82,57 @@ def test_pow_mod_matches_repeated_multiplication(d, seed, p):
         acc = modp.divmod_p(modp.mul(acc, base, p), mod, p)[1]
 
 
+@given(
+    st.integers(1, 6),
+    st.integers(0, 2**30),
+    st.sampled_from(SMALL_PRIMES + LARGE_PRIMES),
+    st.integers(0, 2**70),
+)
+def test_pow_mod_adds_exponents(d, seed, p, e):
+    # x^p, the Frobenius that distinct-degree splitting reads, and a random
+    # large exponent: b^(e + p) = b^e * b^p mod f
+    f = random_tuple_poly(p, d, seed)
+    b = random_tuple_poly(p, d + 1, seed + 2)
+    for base in ((0, 1), b):
+        lhs = modp.pow_mod(base, e + p, f, p)
+        rhs = modp.mod_p(modp.mul(modp.pow_mod(base, e, f, p), modp.pow_mod(base, p, f, p), p), f, p)
+        assert lhs == rhs
+
+
 # ---------------------------------------------------------------------------
 # factorization over F_p
+
+
+def shape_of(f, p):
+    return sorted((g.degree, m) for g, m in modp.factor_mod_p(f, p))
+
+
+@given(st.integers(1, 6), st.integers(0, 2**30), st.sampled_from(SMALL_PRIMES + LARGE_PRIMES))
+def test_factor_degrees_is_the_shape_of_factor_mod_p(d, seed, p):
+    rng = random.Random(seed)
+    a = random_tuple_poly(p, d, seed)
+    # a square factor, so the squarefree split has work to do
+    b = random_tuple_poly(p, rng.randint(1, 2), seed + 5)
+    f = modp.to_intpoly(modp.mul(modp.mul(a, b, p), b, p))
+    assert modp.factor_degrees(f, p) == shape_of(f, p)
+
+
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 2**30), st.sampled_from([2, 3]))
+def test_factor_degrees_of_inseparable_inputs(da, db, seed, p):
+    # g(x^p) is a p-th power over F_p: the squarefree split takes p-th roots
+    g = random_tuple_poly(p, da, seed)
+    gxp = tuple(c if i % p == 0 else 0 for i in range(p * da + 1) for c in [g[i // p]])
+    f = modp.mul(gxp, random_tuple_poly(p, db, seed + 1), p) if db else gxp
+    f = modp.to_intpoly(f)
+    assert modp.factor_degrees(f, p) == shape_of(f, p)
+
+
+def test_factor_degrees_errors():
+    with pytest.raises(InvalidPrimeError):
+        modp.factor_degrees(parse_poly("x^2 + 1"), 6)
+    with pytest.raises(DegenerateInputError):
+        modp.factor_degrees(parse_poly("5*x^2 + 10"), 5)
+    assert modp.factor_degrees(parse_poly("7"), 5) == []
 
 
 @given(st.integers(2, 7), st.integers(0, 2**30), st.sampled_from(SMALL_PRIMES))

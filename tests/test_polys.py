@@ -3,13 +3,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import count_real_roots, sylvester_disc, sylvester_resultant
-from tracegenus.errors import DegenerateInputError, InternalConsistencyError, ParseError
+import tracegenus.polys as polys_module
+from tracegenus.errors import (
+    DegenerateInputError,
+    InternalConsistencyError,
+    OutOfDomainError,
+    ParseError,
+)
 from tracegenus.polys import (
     IntPoly,
     coeff_csv,
     discriminant,
     exact_quotient,
-    is_squarefree,
     parse_poly,
     poly_gcd,
     poly_to_string,
@@ -144,6 +149,10 @@ def squarefree_part(f):
     return exact_quotient(f, poly_gcd(f, f.derivative()))
 
 
+def is_squarefree(f):
+    return poly_gcd(f, f.derivative()).degree == 0
+
+
 @given(polys(max_degree=3, coeff=st.integers(-9, 9)), polys(max_degree=3, coeff=st.integers(-9, 9)))
 def test_exact_quotient_inverts_multiplication(a, b):
     b = b.primitive()[1]
@@ -175,6 +184,22 @@ def test_sturm_frozen_values():
     assert sturm_count_real_roots(parse_poly("x^4 - 41*x^2 + 144")) == 4
     assert sturm_count_real_roots(parse_poly("x^6 - x^5 - 2*x^4 + x^3 + 7*x^2 - 6*x + 4")) == 0
     assert sturm_count_real_roots(parse_poly("x^5 - x + 1")) == 1
+
+
+@pytest.mark.parametrize("text", ["x^3 - x^2", "x^4 + 2*x^2 + 1"])
+def test_sturm_refuses_a_repeated_factor(text):
+    with pytest.raises(OutOfDomainError, match="squarefree"):
+        sturm_count_real_roots(parse_poly(text))
+
+
+def test_sturm_checks_squarefreeness_in_its_own_chain(monkeypatch):
+    def no_gcd(*args):
+        raise AssertionError("Sturm count called poly_gcd")
+
+    monkeypatch.setattr(polys_module, "poly_gcd", no_gcd)
+    assert sturm_count_real_roots(parse_poly("x^4 - 41*x^2 + 144")) == 4
+    with pytest.raises(OutOfDomainError):
+        sturm_count_real_roots(parse_poly("x^3 - x^2"))
 
 
 @given(polys(min_degree=1, max_degree=5, coeff=st.integers(-15, 15)))

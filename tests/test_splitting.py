@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import is_squarefree_int, quadratic_splitting
+from tracegenus import modp
 from tracegenus.errors import InvalidPrimeError, OutOfDomainError, WildRamificationError
 from tracegenus.orders import QuotientAlgebra, frobenius_matrix, maximal_order, mult_table
 from tracegenus.polys import IntPoly, parse_poly
@@ -30,6 +31,23 @@ def test_known_splittings(text, shapes):
     mo = maximal_order(parse_poly(text))
     for p, pairs in shapes.items():
         assert split_prime(mo, p).pairs == pairs
+
+
+def test_polynomial_route_reads_only_the_distinct_degree_shape(monkeypatch):
+    # no equal-degree splitting, and one Frobenius x^p for a squarefree
+    # cubic; at the ramified 32009 the squarefree parts are linear and need none
+    mo = maximal_order(parse_poly("x^3 - x^2 - 20*x - 1"))
+
+    def refuse(*args):
+        raise AssertionError("the polynomial route split equal degrees")
+
+    powers = []
+    pow_mod = modp.pow_mod
+    monkeypatch.setattr(modp, "equal_degree", refuse)
+    monkeypatch.setattr(modp, "pow_mod", lambda *args: powers.append(args[1]) or pow_mod(*args))
+    assert split_prime(mo, 32009).pairs == ((1, 1), (2, 1))
+    assert split_prime(mo, 10**9 + 7).pairs == ((1, 1), (1, 1), (1, 1))
+    assert powers == [10**9 + 7]
 
 
 def test_index_divisible_prime_uses_the_algebra_route():

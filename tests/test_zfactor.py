@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from helpers import is_eisenstein_at, quadratic_is_irreducible
 from tracegenus.errors import DegenerateInputError
 from tracegenus.polys import IntPoly, parse_poly
+import tracegenus.zfactor as zfactor
+from tracegenus import modp
 from tracegenus.zfactor import factor_over_z, is_irreducible, yun_squarefree
 
 
@@ -110,6 +112,59 @@ def test_is_irreducible_knowns():
     f = parse_poly("x^2 - 2") * parse_poly("x^2 - 3") * parse_poly("x^2 - 6")
     _, factors = factor_over_z(f)
     assert {g.coeffs for g, _ in factors} == {(-6, 0, 1), (-3, 0, 1), (-2, 0, 1)}
+
+
+# ---------------------------------------------------------------------------
+# degree analysis before Hensel lifting
+
+
+@pytest.fixture()
+def lifts(monkeypatch):
+    """Count the Hensel lifts factor_over_z runs."""
+    calls = []
+    lift = zfactor._lift_tree
+
+    def counted(*args):
+        calls.append(args)
+        return lift(*args)
+
+    monkeypatch.setattr(zfactor, "_lift_tree", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "text", ["x^4 + 1", "x^4 - 10*x^2 + 1", "x^8 - 40*x^6 + 352*x^4 - 960*x^2 + 576"]
+)
+def test_reducible_mod_every_prime_still_lifts_and_stays_irreducible(lifts, text):
+    assert is_irreducible(parse_poly(text))
+    assert lifts
+
+
+def test_degree_analysis_keeps_true_factors():
+    a, b = parse_poly("x^4 - 10*x^2 + 1"), parse_poly("x^2 - 2")
+    assert factor_over_z(a * b) == (1, [(b, 1), (a, 1)])
+
+
+def test_dense_quintic_is_decided_without_a_lift(lifts):
+    # irreducible mod 7: no proper factor degree survives the first shapes
+    assert is_irreducible(parse_poly("x^5 + 3*x^4 - 7*x^3 + 2*x^2 - 5*x + 11"))
+    assert not lifts
+
+
+def test_bad_at_every_lift_prime_falls_back_above_67(monkeypatch):
+    n = 1
+    for p in zfactor._LIFT_PRIMES:
+        n *= p
+    f = poly(-n, 0, 1)  # x^2 - 3*5*...*67 is x^2 mod each of those primes
+    used = []
+    blocks = modp.degree_blocks
+    monkeypatch.setattr(modp, "degree_blocks", lambda g, p: used.append(p) or blocks(g, p))
+    assert factor_over_z(f) == (1, [(f, 1)])
+    assert max(used) > 67
+    used.clear()
+    x_minus_1 = poly(-1, 1)
+    assert factor_over_z(x_minus_1 * f) == (1, [(x_minus_1, 1), (f, 1)])
+    assert max(used) > 67
 
 
 def test_yun_squarefree_structure():
