@@ -7,6 +7,7 @@ record failed), 2 unparseable or ill-formed input, 3 reducible polynomial,
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -55,12 +56,44 @@ def resolve_cache_dir(args):
     return os.environ.get(CACHE_ENV_VAR) or default_cache_dir()
 
 
+@functools.lru_cache(maxsize=None)
+def source_digest():
+    """sha256 of the package's .py sources, so that a changed program never
+    reads entries written by another."""
+    h = hashlib.sha256()
+    package = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                h.update(name.encode() + b"\0" + fh.read() + b"\0")
+    return h.hexdigest()
+
+
 def cache_key(poly):
-    payload = report.ANALYSIS_SCHEMA + "\n" + coeff_csv(poly)
+    payload = "\n".join((report.ANALYSIS_SCHEMA, source_digest(), coeff_csv(poly)))
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
-def cache_load(cache_dir, key):
+def _consistent(doc, poly):
+    """Cheap invariants of a cached document: it is about poly, and its
+    disc factorization multiplies out to its disc."""
+    try:
+        disc = int(doc["disc"])
+        value = doc["disc_factorization"]["sign"]
+        if value not in (1, -1):
+            return False
+        for p, e in doc["disc_factorization"]["factors"]:
+            # p >= 2 divides disc at most bit_length times; this also keeps
+            # an edited exponent from making p**e huge
+            if not 0 < e <= abs(disc).bit_length():
+                return False
+            value *= int(p) ** e
+        return value == disc and doc["coefficients"] == [str(c) for c in poly.coeffs]
+    except (KeyError, TypeError, ValueError):
+        return False
+
+
+def cache_load(cache_dir, key, poly):
     """(document, warning): document None on miss; warning set when an entry
     existed but was unusable and will be recomputed."""
     path = os.path.join(cache_dir, key + ".json")
@@ -75,6 +108,8 @@ def cache_load(cache_dir, key):
         return None, "corrupt cache entry %s ignored" % key
     if not isinstance(doc, dict) or doc.get("schema") != report.ANALYSIS_SCHEMA:
         return None, "stale cache entry %s ignored" % key
+    if not _consistent(doc, poly):
+        return None, "corrupt cache entry %s ignored" % key
     return doc, None
 
 
@@ -105,9 +140,9 @@ def analyze_text(text, cache_dir, use_cache):
     document is byte-for-byte the one a fresh computation would produce."""
     warnings = []
     poly = parse_poly(text)
-    key = cache_key(poly)
     if use_cache:
-        doc, warn = cache_load(cache_dir, key)
+        key = cache_key(poly)
+        doc, warn = cache_load(cache_dir, key, poly)
         if warn:
             warnings.append(warn)
         if doc is not None:

@@ -73,9 +73,10 @@ def mul(a, b, p):
     return norm(_product(a, b), p)
 
 
-def divmod_p(a, b, p):
+def divmod_p(a, b, p, quotient=True):
     """(q, r) with a = q*b + r over F_p and deg r < deg b. Coefficients are
-    reduced mod p only as they become the leading one, and once at the end."""
+    reduced mod p only as they become the leading one, and once at the end.
+    With quotient false, q is not recorded and () is returned in its place."""
     if not b:
         raise ZeroDivisionError("mod-p division by zero polynomial")
     db = deg(b)
@@ -83,20 +84,21 @@ def divmod_p(a, b, p):
         return (), norm(a, p)
     a = list(a)
     inv = 1 if b[-1] == 1 else pow(b[-1], -1, p)
-    q = [0] * (len(a) - db)
+    q = [0] * (len(a) - db) if quotient else None
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i] % p
         if c:
             if inv != 1:
                 c = c * inv % p
-            q[i - db] = c
+            if quotient:
+                q[i - db] = c
             for j in range(db):
                 a[i - db + j] -= c * b[j]
-    return norm(q, p), norm(a[:db], p)
+    return norm(q, p) if quotient else (), norm(a[:db], p)
 
 
 def mod_p(a, b, p):
-    return divmod_p(a, b, p)[1]
+    return divmod_p(a, b, p, quotient=False)[1]
 
 
 def monic(a, p):

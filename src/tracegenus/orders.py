@@ -1,6 +1,8 @@
-"""Orders in number fields: the Dedekind p-maximality test and the
-radical/multiplier-ring enlargement loop (Round-2), joined into a maximal
-order with its index and factored discriminant.
+"""Orders in number fields: Round 2 at each prime (Cohen, GTM 138, Alg.
+6.1.8), joined into a maximal order with its index and factored
+discriminant. Dedekind's criterion takes the first step: it proves Z[theta]
+p-maximal, or gives the first enlargement, from which the
+radical/multiplier-ring loop continues.
 
 An order is stored as an n x n integer basis matrix over a common
 denominator. Rows are coordinates in the power basis 1, x, ..., x^(n-1) of
@@ -199,11 +201,12 @@ def dedekind_is_pmaximal(f, p):
     _require_field_poly(f)
     if not is_prime(p):
         raise InvalidPrimeError("Dedekind criterion needs a prime, got %r" % (p,))
-    facs = modp.factor_mod_p(f, p)
+    f_bar = modp.from_intpoly(f, p)
+    # g_bar is the product of the distinct irreducible factors of f_bar
     g_bar = (1,)
-    for fac, _ in facs:
-        g_bar = modp.mul(g_bar, modp.from_intpoly(fac, p), p)
-    h_bar = modp.divmod_p(modp.from_intpoly(f, p), g_bar, p)[0]
+    for part, _ in modp.squarefree_decomposition(f_bar, p):
+        g_bar = modp.mul(g_bar, part, p)
+    h_bar = modp.divmod_p(f_bar, g_bar, p)[0]
     g_lift = IntPoly([c % p for c in g_bar])
     h_lift = IntPoly([c % p for c in h_bar])
     prod = g_lift * h_lift
@@ -218,7 +221,7 @@ def dedekind_is_pmaximal(f, p):
     u_bar = modp.gcd_p(modp.gcd_p(t_bar, g_bar, p), h_bar, p)
     if modp.deg(u_bar) <= 0:
         return True, []
-    enlarge = modp.divmod_p(modp.from_intpoly(f, p), u_bar, p)[0]
+    enlarge = modp.divmod_p(f_bar, u_bar, p)[0]
     witness = IntPoly([c % p for c in enlarge])
     return False, [witness]
 
@@ -244,18 +247,36 @@ def _radical_kernel(alg):
 
 
 def pmaximalize(f, p, disc_f=None):
-    """p-maximal order containing Z[x]/(f), by radical/multiplier enlargement.
+    """p-maximal order containing Z[x]/(f) (Cohen, GTM 138, Alg. 6.1.8).
     Callers that already know disc(f) pass it as disc_f.
 
-    Independent of dedekind_is_pmaximal on purpose: the agreement of the two
-    routes is a tested invariant, not an internal shortcut.
+    Dedekind's criterion comes first: a p-maximal Z[theta] is returned with
+    no multiplication table. Otherwise the radical/multiplier loop starts
+    from Dedekind's enlargement O_1 = Z[theta] + (U(theta)/p) Z[theta],
+    which is the loop's own first step from Z[theta] (Cohen, Thm. 6.1.4).
     """
     _require_field_poly(f)
     if not is_prime(p):
         raise InvalidPrimeError("pmaximalize needs a prime, got %r" % (p,))
     if disc_f is None:
         disc_f = discriminant(f)
-    order = equation_order(f, disc_f)
+    is_pmaximal, witnesses = dedekind_is_pmaximal(f, p)
+    if is_pmaximal:
+        return equation_order(f, disc_f)
+    n = f.degree
+    (u,) = witnesses
+    # p*Z[theta] + U*Z[theta] over p: as f = U*U_bar mod p, the products
+    # U*x^i with i < deg(U_bar) = n - deg(U) span U*Z[theta] mod p*Z[theta]
+    m = n - u.degree
+    rows = [[p if i == j else 0 for j in range(n)] for i in range(n)]
+    rows.extend([0] * i + list(u.coeffs) + [0] * (m - 1 - i) for i in range(m))
+    return _round_two(order_from_rows(f, rows, p, disc_f), p, disc_f)
+
+
+def _round_two(order, p, disc_f):
+    """The radical/multiplier enlargement loop at p from a starting order
+    of f = order.poly, until the order is its own ring of multipliers."""
+    f = order.poly
     n = f.degree
     while True:
         table = mult_table(order)

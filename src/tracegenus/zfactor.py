@@ -46,8 +46,12 @@ def zip_pad(a, b):
     return zip(a, b)
 
 
+def _sq_norm(f):
+    return sum(c * c for c in f.coeffs)
+
+
 def _l2_norm_ceil(f):
-    s = sum(c * c for c in f.coeffs)
+    s = _sq_norm(f)
     r = isqrt(s)
     return r if r * r == s else r + 1
 
@@ -192,8 +196,14 @@ def _lift_tree(f_coeffs, factors, p, target):
 
 def _good_blocks(f):
     """(p, modp.degree_blocks(f, p)) at up to 5 primes of _LIFT_PRIMES where
-    f stays squarefree; failing those, at the first such prime above 67 (a
-    squarefree f has only finitely many bad primes)."""
+    f stays squarefree; failing those, at the first such prime above 67.
+
+    Each bad prime of a squarefree monic f divides disc(f) != 0, so the
+    search raises once their product passes Hadamard's bound on |disc(f)|,
+    the determinant of the Sylvester matrix of f and f'."""
+    n = f.degree
+    bound_sq = _sq_norm(f) ** (n - 1) * _sq_norm(f.derivative()) ** n
+    bad = 1
     found = 0
     for p in chain(_LIFT_PRIMES, filter(is_prime, count(71, 2))):
         if found == 5 or (found and p > 67):
@@ -202,6 +212,10 @@ def _good_blocks(f):
         if all(mult == 1 for _, _, mult in blocks):
             found += 1
             yield p, a, blocks
+        else:
+            bad *= p
+            if bad * bad > bound_sq:
+                raise InternalConsistencyError("expected squarefree input")
 
 
 def _factor_monic_squarefree(f):
@@ -209,9 +223,6 @@ def _factor_monic_squarefree(f):
     n = f.degree
     if n <= 1:
         return [f]
-    disc_like = poly_gcd(f, f.derivative())
-    if disc_like.degree != 0:  # pragma: no cover
-        raise InternalConsistencyError("expected squarefree input")
     # degree analysis: a good prime's shape allows only the subset sums of
     # its local degrees as degrees of a proper factor over Z
     allowed = set(range(1, n))

@@ -428,6 +428,82 @@ def test_cache_key_tracks_coefficients_not_spelling():
     assert cli.cache_key(parse_poly("x^2 - 5")) != cli.cache_key(parse_poly("x^2 + 5"))
 
 
+def test_cache_key_names_the_source(capsys, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    poly = parse_poly("x^2 - 5")
+    old_key = cli.cache_key(poly)
+    analyze_json(capsys, "x^2 - 5", "--cache-dir", str(cache))
+    assert (cache / (old_key + ".json")).exists()
+
+    # the same coefficients under other sources: another key, and the entry
+    # stored under the old key is a miss, not a hit
+    monkeypatch.setattr(cli, "source_digest", lambda: "0" * 64)
+    new_key = cli.cache_key(poly)
+    assert new_key != old_key
+    assert cli.cache_load(str(cache), new_key, poly) == (None, None)
+    computed = []
+    analyze_field = cli.analyze_field
+    monkeypatch.setattr(cli, "analyze_field", lambda f: computed.append(f) or analyze_field(f))
+    code, doc = analyze_json(capsys, "x^2 - 5", "--cache-dir", str(cache))
+    assert code == 0 and computed == [poly]
+    assert "warnings" not in doc["meta"]
+    assert (cache / (new_key + ".json")).exists()
+
+
+def test_source_digest_reads_the_package_once():
+    cli.source_digest.cache_clear()
+    digest = cli.source_digest()
+    assert len(digest) == 64 and int(digest, 16) >= 0
+    assert cli.source_digest() == digest
+    assert cli.source_digest.cache_info().misses == 1
+
+
+def _edit_entry(cache, text, **changes):
+    poly = parse_poly(text)
+    entry = cache / (cli.cache_key(poly) + ".json")
+    doc = json.loads(entry.read_text())
+    doc.update(changes)
+    entry.write_text(json.dumps(doc))
+    return poly
+
+
+def test_hand_edited_disc_is_rejected_and_recomputed(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    analyze_json(capsys, KLEIN_A, "--cache-dir", str(cache))
+    poly = _edit_entry(cache, KLEIN_A, disc="7")  # factors still say 5^2 * 13^2 * 17^2
+    doc, warning = cli.cache_load(str(cache), cli.cache_key(poly), poly)
+    assert doc is None and "corrupt cache entry" in warning
+
+    code, out, _ = run_cli(capsys, "analyze", KLEIN_A, "--human", "--cache-dir", str(cache))
+    assert code == 0
+    assert "disc         1221025 = 5^2 * 13^2 * 17^2" in out
+    assert "disc         7" not in out
+    # the recomputation replaced the entry
+    code, doc = analyze_json(capsys, KLEIN_A, "--cache-dir", str(cache))
+    assert doc["disc"] == "1221025" and "warnings" not in doc["meta"]
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"coefficients": ["5", "0", "1"]},
+        {"disc_factorization": {"sign": -1, "factors": [["5", 1]]}},
+        {"disc_factorization": {"sign": 5, "factors": []}},
+        {"disc_factorization": {"sign": 1, "factors": [["5", 10**9]]}},
+        {"disc_factorization": {"sign": 1, "factors": "5"}},
+        {"disc": None},
+    ],
+)
+def test_inconsistent_cache_entry_warns_and_recomputes(capsys, tmp_path, changes):
+    cache = tmp_path / "cache"
+    analyze_json(capsys, "x^2 - 5", "--cache-dir", str(cache))
+    _edit_entry(cache, "x^2 - 5", **changes)
+    code, doc = analyze_json(capsys, "x^2 - 5", "--cache-dir", str(cache))
+    assert code == 0
+    assert doc["disc"] == "5" and doc["coefficients"] == ["-5", "0", "1"]
+    assert any("corrupt cache entry" in w for w in doc["meta"]["warnings"])
+
+
 # ---------------------------------------------------------------------------
 # console script
 

@@ -60,6 +60,23 @@ def test_divmod_reconstructs(da, db, seed, p):
     q, r = modp.divmod_p(a, b, p)
     assert modp.deg(r) < modp.deg(b)
     assert modp.norm(modp.add(modp.mul(q, b, p), r, p), p) == a
+    assert modp.divmod_p(a, b, p, quotient=False) == ((), r)
+    assert modp.mod_p(a, b, p) == r
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(0, 2**30),
+    st.sampled_from(SMALL_PRIMES + LARGE_PRIMES),
+)
+def test_mod_p_of_unreduced_products(da, db, seed, p):
+    # pow_mod reduces products whose coefficients are not yet taken mod p,
+    # and whose leading coefficient may vanish mod p
+    a = random_tuple_poly(p, da, seed)
+    b = random_tuple_poly(p, db, seed + 1)
+    raw = modp._product(a, a) + [p * (seed % 3)]
+    assert modp.mod_p(raw, b, p) == modp.divmod_p(modp.norm(raw, p), b, p)[1]
 
 
 @given(st.integers(1, 5), st.integers(0, 2**30), st.sampled_from(SMALL_PRIMES))

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import is_squarefree_int, lattice_equal, lattice_member, quadratic_field_disc
-from tracegenus import orders
+from tracegenus import modp, orders
 from tracegenus.arith import PrimeFactorization, factor_integer
 from tracegenus.errors import NonMonicInputError, ReducibleInputError
 from tracegenus.orders import (
@@ -28,6 +28,9 @@ KNOWN_FIELDS = [
     ("eighth cyclotomic", "x^4 + 1", 1, 256),
     ("cubic disc 32009", "x^3 - x^2 - 20*x - 1", 1, 32009),
     ("golden ratio quadratic", "x^2 - 5", 2, 5),
+    # disc(x^n + a) = (-1)^(n(n-1)/2) n^n a^(n-1)
+    ("64th cyclotomic", "x^32 + 1", 1, 2**160),
+    ("pure degree 40", "x^40 - 3", 1, -(40**40) * 3**39),
 ]
 
 
@@ -111,6 +114,59 @@ def test_dedekind_agrees_with_round2_index():
                 enlarged = pmaximalize(f, p)
                 # the p-maximal order strictly contains Z[theta]
                 assert enlarged.denom % p == 0
+
+
+def _square_primes(f):
+    disc_f = discriminant(f)
+    return disc_f, [p for p, e in factor_integer(disc_f).factors if e >= 2]
+
+
+def test_pmaximalize_equals_round_two_from_the_equation_order(corpus_records):
+    # the loop run from Z[theta] is the route without Dedekind's first step
+    checked = 0
+    for rec in corpus_records:
+        f = parse_poly(rec.text)
+        disc_f, primes = _square_primes(f)
+        for p in primes:
+            start = equation_order(f, disc_f)
+            assert pmaximalize(f, p, disc_f) == orders._round_two(start, p, disc_f), (rec.label, p)
+            checked += 1
+    assert checked >= 60
+
+
+def test_dedekind_maximal_prime_builds_no_table(corpus_records):
+    settled = 0
+    for rec in corpus_records:
+        f = parse_poly(rec.text)
+        disc_f, primes = _square_primes(f)
+        for p in primes:
+            if not dedekind_is_pmaximal(f, p)[0]:
+                continue
+            mult_table.cache_clear()
+            assert pmaximalize(f, p, disc_f) == equation_order(f, disc_f)
+            assert mult_table.cache_info().misses == 0, (rec.label, p)
+            settled += 1
+    assert settled >= 40
+
+
+def test_dedekind_squarefree_parts_match_factor_mod_p(corpus_records, monkeypatch):
+    # g_bar, the product of the distinct irreducible factors of f mod p, read
+    # from Cantor-Zassenhaus factors instead of the squarefree parts
+    cases = []
+    factored = {}
+    for rec in corpus_records:
+        f = parse_poly(rec.text)
+        ramified = [p for p, _ in factor_integer(discriminant(f)).factors]
+        for p in sorted(set(ramified) | {2, 3, 5, 7}):
+            cases.append((f, p, dedekind_is_pmaximal(f, p)))
+            factored[modp.from_intpoly(f, p), p] = [
+                (modp.from_intpoly(g, p), m) for g, m in modp.factor_mod_p(f, p)
+            ]
+
+    monkeypatch.setattr(modp, "squarefree_decomposition", lambda f_bar, p: factored[f_bar, p])
+    for f, p, verdict in cases:
+        assert dedekind_is_pmaximal(f, p) == verdict, (f, p)
+    assert any(not v[0] for _, _, v in cases)
 
 
 def test_pmaximalize_reaches_full_p_index():

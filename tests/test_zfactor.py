@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import is_eisenstein_at, quadratic_is_irreducible
-from tracegenus.errors import DegenerateInputError
+from tracegenus.errors import DegenerateInputError, InternalConsistencyError
 from tracegenus.polys import IntPoly, parse_poly
 import tracegenus.zfactor as zfactor
 from tracegenus import modp
@@ -165,6 +165,34 @@ def test_bad_at_every_lift_prime_falls_back_above_67(monkeypatch):
     x_minus_1 = poly(-1, 1)
     assert factor_over_z(x_minus_1 * f) == (1, [(x_minus_1, 1), (f, 1)])
     assert max(used) > 67
+
+
+def _square_of_lift_prime_product():
+    n = 1
+    for p in zfactor._LIFT_PRIMES:
+        n *= p
+    g = poly(-n, 0, 1)
+    return g * g
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        parse_poly("x^2 - 2*x + 1"),
+        parse_poly("x^4 + 2*x^2 + 1"),
+        parse_poly("x^6 - 4*x^3 + 4"),
+        _square_of_lift_prime_product(),
+    ],
+)
+def test_non_squarefree_input_stops_the_prime_search(monkeypatch, f):
+    # every prime is bad for a square; the search stops once their product
+    # passes the Hadamard bound on |disc| that a squarefree f would obey
+    used = []
+    blocks = modp.degree_blocks
+    monkeypatch.setattr(modp, "degree_blocks", lambda g, p: used.append(p) or blocks(g, p))
+    with pytest.raises(InternalConsistencyError, match="expected squarefree input"):
+        zfactor._factor_monic_squarefree(f)
+    assert len(used) < 150
 
 
 def test_yun_squarefree_structure():
