@@ -14,9 +14,9 @@ FactorizationLimitError rather than looping.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .errors import DegenerateInputError, FactorizationLimitError, InvalidPrimeError
 
@@ -182,12 +182,11 @@ def _brent_rho(n):
     return None
 
 
-@dataclass(frozen=True)
-class PrimeFactorization:
+class PrimeFactorization(NamedTuple):
     """sign * product(p^e); factors is a tuple of (prime, exponent), p ascending."""
 
     sign: int
-    factors: tuple = field(default_factory=tuple)
+    factors: tuple = ()
 
     def value(self):
         out = self.sign

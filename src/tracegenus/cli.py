@@ -8,9 +8,9 @@ record failed), 2 unparseable or ill-formed input, 3 reducible polynomial,
 
 import argparse
 import functools
-import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 import time
@@ -41,6 +41,8 @@ EXIT_REDUCIBLE = 3
 EXIT_NOT_APPLICABLE = 4
 
 CACHE_ENV_VAR = "TRACEGENUS_CACHE_DIR"
+CACHE_MARKER = "source-digest"  # names the source_digest() the entries were written by
+_ENTRY_NAME = re.compile(r"[0-9a-f]{64}\.json")
 
 
 def default_cache_dir():
@@ -50,16 +52,21 @@ def default_cache_dir():
     return os.path.join(base, "tracegenus")
 
 
-def resolve_cache_dir(args):
-    if args.cache_dir:
-        return args.cache_dir
-    return os.environ.get(CACHE_ENV_VAR) or default_cache_dir()
+def open_cache(args):
+    """(cache directory, warnings) of one command; the directory is None
+    under --no-cache. Each command calls this once, so a cache is pruned
+    before any scan worker starts."""
+    if args.no_cache:
+        return None, []
+    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR) or default_cache_dir()
+    return cache_dir, prune_cache(cache_dir)
 
 
 @functools.lru_cache(maxsize=None)
 def source_digest():
     """sha256 of the package's .py sources, so that a changed program never
     reads entries written by another."""
+    import hashlib  # loads OpenSSL, which only a cached run needs
     h = hashlib.sha256()
     package = os.path.dirname(os.path.abspath(__file__))
     for name in sorted(os.listdir(package)):
@@ -70,24 +77,28 @@ def source_digest():
 
 
 def cache_key(poly):
+    import hashlib
     payload = "\n".join((report.ANALYSIS_SCHEMA, source_digest(), coeff_csv(poly)))
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
 def _consistent(doc, poly):
     """Cheap invariants of a cached document: it is about poly, and its
-    disc factorization multiplies out to its disc."""
+    disc factorization, with factors above 1 in strictly ascending order,
+    multiplies out to its disc. Primality of the factors is not checked."""
     try:
         disc = int(doc["disc"])
         value = doc["disc_factorization"]["sign"]
         if value not in (1, -1):
             return False
+        last = 1
         for p, e in doc["disc_factorization"]["factors"]:
             # p >= 2 divides disc at most bit_length times; this also keeps
             # an edited exponent from making p**e huge
-            if not 0 < e <= abs(disc).bit_length():
+            if int(p) <= last or not 0 < e <= abs(disc).bit_length():
                 return False
-            value *= int(p) ** e
+            last = int(p)
+            value *= last ** e
         return value == disc and doc["coefficients"] == [str(c) for c in poly.coeffs]
     except (KeyError, TypeError, ValueError):
         return False
@@ -113,34 +124,61 @@ def cache_load(cache_dir, key, poly):
     return doc, None
 
 
+def _write_atomic(cache_dir, name, data):
+    """Write cache_dir/name as a temp file, then rename it into place."""
+    os.makedirs(cache_dir, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=name, suffix=".tmp", dir=cache_dir)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, os.path.join(cache_dir, name))
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def cache_store(cache_dir, key, doc):
     """Atomic write (temp file then rename); returns a warning on failure."""
-    path = os.path.join(cache_dir, key + ".json")
     data = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
     try:
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=key, suffix=".tmp", dir=cache_dir)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        _write_atomic(cache_dir, key + ".json", data)
     except OSError as exc:
         return "cache not writable (%s); proceeding uncached" % exc
     return None
 
 
-def analyze_text(text, cache_dir, use_cache):
-    """(document, warnings). Cache hits skip all computation; the returned
-    document is byte-for-byte the one a fresh computation would produce."""
+def prune_cache(cache_dir):
+    """Delete the entries of other program versions unless the marker file
+    already names this one's source_digest(); returns the warnings. Only
+    names of the form <sha256>.json are entries; nothing else is touched."""
+    digest = source_digest().encode("ascii")
+    try:
+        with open(os.path.join(cache_dir, CACHE_MARKER), "rb") as fh:
+            if fh.read() == digest:
+                return []
+    except OSError:
+        pass  # no marker yet, or an unreadable one: prune and rewrite it
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+        for name in os.listdir(cache_dir):
+            if _ENTRY_NAME.fullmatch(name):
+                os.unlink(os.path.join(cache_dir, name))
+        _write_atomic(cache_dir, CACHE_MARKER, digest)
+    except OSError as exc:
+        return ["cache not pruned (%s)" % exc]
+    return []
+
+
+def analyze_text(text, cache_dir):
+    """(document, warnings), with no cache when cache_dir is None. Cache hits
+    skip all computation; the returned document is byte-for-byte the one a
+    fresh computation would produce."""
     warnings = []
     poly = parse_poly(text)
-    if use_cache:
+    if cache_dir is not None:
         key = cache_key(poly)
         doc, warn = cache_load(cache_dir, key, poly)
         if warn:
@@ -155,7 +193,7 @@ def analyze_text(text, cache_dir, use_cache):
             return doc, warnings
     analysis = analyze_field(poly)
     doc = report.analysis_document(analysis, text)
-    if use_cache:
+    if cache_dir is not None:
         warn = cache_store(cache_dir, key, doc)
         if warn:
             warnings.append(warn)
@@ -186,28 +224,25 @@ def _emit_input_error(exc, args):
 
 def cmd_analyze(args):
     t0 = time.monotonic()
+    cache_dir, warnings = open_cache(args)
     try:
-        doc, warnings = analyze_text(
-            args.polynomial, resolve_cache_dir(args), not args.no_cache
-        )
+        doc, warns = analyze_text(args.polynomial, cache_dir)
     except (ParseError, NonMonicInputError, DegenerateInputError, ReducibleInputError) as exc:
         return _emit_input_error(exc, args)
     doc = dict(doc)
-    doc["meta"] = _meta(t0, warnings)
+    doc["meta"] = _meta(t0, warnings + warns)
     _emit(doc, args, report.render_analysis)
     return EXIT_OK
 
 
 def cmd_compare(args):
     t0 = time.monotonic()
-    cache_dir = resolve_cache_dir(args)
-    use_cache = not args.no_cache
-    warnings = []
+    cache_dir, warnings = open_cache(args)
     analyses = []
     docs = []
     try:
         for text in (args.left, args.right):
-            doc, warns = analyze_text(text, cache_dir, use_cache)
+            doc, warns = analyze_text(text, cache_dir)
             warnings.extend(warns)
             docs.append(doc)
             analyses.append(report.analysis_from_document(doc))
@@ -230,9 +265,9 @@ def cmd_compare(args):
 
 def _scan_one(task):
     """Worker for scan: analyze one corpus record. Top-level so it pickles."""
-    label, text, cache_dir, use_cache = task
+    label, text, cache_dir = task
     try:
-        doc, warnings = analyze_text(text, cache_dir, use_cache)
+        doc, warnings = analyze_text(text, cache_dir)
         record = {"label": label, "input": text, "ok": True, "analysis": doc}
     except TraceGenusError as exc:
         err = report.error_document(exc, factors=getattr(exc, "factors", None))
@@ -285,8 +320,6 @@ def _pair_sweep(records):
 
 def cmd_scan(args):
     t0 = time.monotonic()
-    cache_dir = resolve_cache_dir(args)
-    use_cache = not args.no_cache
     try:
         corpus = read_corpus(args.corpus)
     except ParseError as exc:
@@ -294,8 +327,8 @@ def cmd_scan(args):
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
-    tasks = [(r.label, r.text, cache_dir, use_cache) for r in corpus]
-    warnings = []
+    cache_dir, warnings = open_cache(args)
+    tasks = [(r.label, r.text, cache_dir) for r in corpus]
     records = []
     # with fork, the pool starts every worker at once, so never more than
     # there are CPUs or records

@@ -8,14 +8,13 @@ treatment; later unparseable rows surface as per-record errors downstream).
 
 import csv
 import io
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 from .polys import parse_poly
 
 
-@dataclass(frozen=True)
-class CorpusRecord:
+class CorpusRecord(NamedTuple):
     label: str
     text: str  # polynomial source text, parsed later so scan can collect errors
 

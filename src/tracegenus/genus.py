@@ -11,7 +11,7 @@ Two routes that must agree on their common domain:
   upgrades to an isometry claim whenever the fields are not totally real.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import OutOfDomainError
 
@@ -20,8 +20,7 @@ DIFFERENT = "different"
 NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
-class AlphaRow:
+class AlphaRow(NamedTuple):
     p: int
     left: int  # Legendre class in the first field
     right: int  # Legendre class in the second field
@@ -32,8 +31,7 @@ class AlphaRow:
         return self.left == self.right
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(NamedTuple):
     verdict: str  # SAME, DIFFERENT or NOT_APPLICABLE
     reason: str | None  # set when not applicable
     disc_equal: bool | None
@@ -93,8 +91,7 @@ def _applicability_gate(left, right):
     return None
 
 
-@dataclass(frozen=True)
-class EquivalencePrediction:
+class EquivalencePrediction(NamedTuple):
     applicable: bool
     reason: str | None  # why not, when inapplicable
     predicted_same: bool | None  # None when inapplicable
@@ -131,8 +128,7 @@ def predict_equivalence(left, right):
     )
 
 
-@dataclass(frozen=True)
-class CrossValidation:
+class CrossValidation(NamedTuple):
     comparison: ComparisonResult
     prediction: EquivalencePrediction
     consistent: bool

@@ -5,11 +5,11 @@ first, () meaning zero. Factorization is squarefree decomposition and
 distinct-degree splitting (degree_blocks), then Cantor-Zassenhaus
 equal-degree splitting (split_blocks). factor_degrees stops after the
 distinct-degree step and is deterministic; the only randomness is the
-equal-degree step, a random.Random seeded by sha256 of (p, coeffs), so
-identical calls take identical paths on every platform.
+equal-degree step, a random.Random seeded by the repr of (p, coeffs), which
+random hashes with SHA-512: identical calls take identical paths on every
+platform, and as split_blocks sorts its output, the seed never changes it.
 """
 
-import hashlib
 import random
 
 from .arith import is_prime
@@ -231,11 +231,6 @@ def equal_degree(f, d, p, rng):
         return out
 
 
-def _seed_for(parts):
-    h = hashlib.sha256(repr(parts).encode()).digest()
-    return int.from_bytes(h[:8], "big")
-
-
 def degree_blocks(f, p):
     """(monic f mod p, [(distinct-degree block, d, multiplicity)]), checked
     to re-multiply to f. Raises InvalidPrimeError for composite p and
@@ -275,7 +270,7 @@ def factor_degrees(f, p):
 def split_blocks(a, blocks, p):
     """factor_mod_p's result from (a, blocks) = degree_blocks(f, p): each
     block is split by Cantor-Zassenhaus and checked to re-multiply to it."""
-    rng = random.Random(_seed_for(("factor_mod_p", p, a)))
+    rng = random.Random(repr(("factor_mod_p", p, a)))
     out = {}
     for prod, d, mult in blocks:
         pieces = equal_degree(prod, d, p, rng)

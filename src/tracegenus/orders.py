@@ -10,9 +10,9 @@ Q[x]/(f); the matrix is kept in lower-triangular HNF so row 0 is always the
 element 1 and the diagonal exposes the elementary divisors.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from . import modp
 from .arith import PrimeFactorization, factor_integer, is_prime
@@ -27,8 +27,7 @@ from .polys import IntPoly, discriminant
 from .zfactor import factor_over_z
 
 
-@dataclass(frozen=True)
-class Order:
+class Order(NamedTuple):
     """Ring of rank n = deg(poly): rows of basis_num over denom, in the
     power basis of Q[x]/(poly). Lower-triangular HNF; row 0 is 1."""
 
@@ -55,8 +54,7 @@ class Order:
         return q
 
 
-@dataclass(frozen=True)
-class MaximalOrder:
+class MaximalOrder(NamedTuple):
     order: Order
     index: int
     disc_factored: PrimeFactorization
@@ -149,8 +147,7 @@ def _multiply_in_order(table, x, y):
     return out
 
 
-@dataclass(frozen=True)
-class QuotientAlgebra:
+class QuotientAlgebra(NamedTuple):
     """The F_p-algebra O/pO of an order O. Elements are coordinate lists
     mod p on the order's basis, whose row 0 is the element 1.
 

@@ -9,7 +9,7 @@ semisimple quotient split into fields along its Frobenius-fixed subalgebra,
 and lifted idempotents to measure each local dimension e_i * f_i.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import modp
 from .arith import is_prime
@@ -23,8 +23,7 @@ from .linalg import left_kernel_mod_p, rref_mod_p
 from .orders import QuotientAlgebra, _radical_kernel, frobenius_matrix, mult_table
 
 
-@dataclass(frozen=True)
-class SplittingType:
+class SplittingType(NamedTuple):
     """How p splits: pairs is the sorted tuple of (e_i, f_i)."""
 
     p: int

@@ -11,8 +11,8 @@ splitting data compresses into a square class
 whose Legendre symbol is what the spinor-genus comparison consumes.
 """
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .arith import legendre, smallest_nonresidue
 from .errors import (
@@ -76,8 +76,7 @@ def gram_matrix(order):
     return tuple(tuple(row) for row in gram)
 
 
-@dataclass(frozen=True)
-class TraceForm:
+class TraceForm(NamedTuple):
     gram: tuple
     det: int
     signature: tuple  # (positive, negative), no zero eigenvalues
@@ -104,8 +103,7 @@ def field_signature(f):
     return r, s
 
 
-@dataclass(frozen=True)
-class AlphaClass:
+class AlphaClass(NamedTuple):
     """A unit square class mod an odd prime, as carried by the alpha
     invariant or by the discriminant-valuation formula."""
 
@@ -191,8 +189,7 @@ def verify_alpha_formula(analysis, p):
     return alpha_matches_disc_formula(analysis.degree, v, alpha)
 
 
-@dataclass(frozen=True)
-class GammaTest:
+class GammaTest(NamedTuple):
     """The three per-prime conditions at an odd ramified prime."""
 
     p: int
@@ -222,8 +219,7 @@ def gamma_test(n, splitting):
     )
 
 
-@dataclass(frozen=True)
-class GammaClassification:
+class GammaClassification(NamedTuple):
     is_tame: bool  # every ramified prime (2 included) is tame
     is_gamma: bool
     exceptional: int | None  # the single failing odd prime, if any
@@ -251,8 +247,7 @@ def classify_gamma(n, splittings):
     )
 
 
-@dataclass(frozen=True)
-class FieldAnalysis:
+class FieldAnalysis(NamedTuple):
     """Everything the comparators and reports consume, for one field."""
 
     poly: IntPoly

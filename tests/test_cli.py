@@ -1,8 +1,8 @@
 """CLI behavior: exit codes, JSON emission, cache semantics, scan summaries.
 
-Everything runs in-process through main(argv) so the suite stays fast; two
+Everything runs in-process through main(argv) so the suite stays fast; a few
 subprocess tests check the installed console script end to end and what
-importing the CLI loads.
+importing and running the CLI loads.
 """
 
 import json
@@ -308,6 +308,42 @@ def test_analysis_imports_no_rational_arithmetic(repo_root):
     assert proc.stderr.strip() == "[]"
 
 
+def _loaded_by(code, repo_root):
+    """Which of dataclasses, inspect and hashlib `code` loads beyond what
+    the bare interpreter already has."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n" + code + "\n"
+        "heavy = {'dataclasses', 'inspect', 'hashlib'}\n"
+        "print(sorted(heavy & (set(sys.modules) - before)), file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(repo_root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.strip().splitlines()[-1]
+
+
+def test_cold_start_loads_no_dataclasses_inspect_or_hashlib(repo_root, tmp_path):
+    assert _loaded_by("import tracegenus.cli", repo_root) == "[]"
+    # this field's index is 48, so splitting takes Cantor-Zassenhaus
+    # (split_blocks), which draws from its seeded random.Random
+    analyze = (
+        "import tracegenus.cli as cli, tracegenus.modp as modp\n"
+        "split, calls = modp.split_blocks, []\n"
+        "modp.split_blocks = lambda *a: calls.append(1) or split(*a)\n"
+        "assert cli.main(['analyze', %r, %s]) == 0 and calls\n"
+    )
+    assert _loaded_by(analyze % (KLEIN_A, "'--no-cache'"), repo_root) == "[]"
+    # a cached run still hashes the sources and the key
+    cached = analyze % (KLEIN_A, "'--cache-dir', %r" % str(tmp_path / "cache"))
+    assert _loaded_by(cached, repo_root) == "['hashlib']"
+
+
 # ---------------------------------------------------------------------------
 # cache
 
@@ -375,7 +411,8 @@ def test_corrupt_cache_entry_warns_then_recovers(capsys, tmp_path):
 
 def test_stale_schema_entry_recomputed(capsys, tmp_path):
     cache = tmp_path / "cache"
-    cache.mkdir()
+    # mark the directory as this program's, so the entry is not pruned unread
+    assert cli.prune_cache(str(cache)) == []
     key = cli.cache_key(parse_poly("x^2 - 5"))
     (cache / (key + ".json")).write_text('{"schema": "tracegenus/analysis/v0"}')
     code, doc = analyze_json(capsys, "x^2 - 5", "--cache-dir", str(cache))
@@ -502,6 +539,84 @@ def test_inconsistent_cache_entry_warns_and_recomputes(capsys, tmp_path, changes
     assert code == 0
     assert doc["disc"] == "5" and doc["coefficients"] == ["-5", "0", "1"]
     assert any("corrupt cache entry" in w for w in doc["meta"]["warnings"])
+
+
+KLEIN_A_DISC = "disc         1221025 = 5^2 * 13^2 * 17^2\n"
+
+
+@pytest.mark.parametrize(
+    "text, factors, line",
+    [
+        # multiplies out to 5, but 1 is no prime factor
+        ("x^2 - 5", [["1", 2], ["5", 1], ["1", 1]], "disc         5 = 5\n"),
+        (KLEIN_A, [["17", 2], ["13", 2], ["5", 2]], KLEIN_A_DISC),  # descending
+        (KLEIN_A, [["5", 1], ["5", 1], ["13", 2], ["17", 2]], KLEIN_A_DISC),  # a prime twice
+    ],
+)
+def test_disc_factors_must_ascend_strictly_above_1(capsys, tmp_path, text, factors, line):
+    cache = tmp_path / "cache"
+    analyze_json(capsys, text, "--cache-dir", str(cache))
+    poly = _edit_entry(cache, text, disc_factorization={"sign": 1, "factors": factors})
+    # (None, warning) is what the cache counts as a reject
+    doc, warning = cli.cache_load(str(cache), cli.cache_key(poly), poly)
+    assert doc is None and "corrupt cache entry" in warning
+
+    code, out, _ = run_cli(capsys, "analyze", text, "--human", "--cache-dir", str(cache))
+    assert code == 0 and line in out
+
+
+def _listing(cache):
+    return {p.name: p.read_bytes() for p in cache.iterdir()}
+
+
+def test_source_switch_prunes_old_entries(capsys, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    for text in ("x^2 - 5", KLEIN_A):
+        analyze_json(capsys, text, "--cache-dir", str(cache))
+    marker = cache / cli.CACHE_MARKER
+    assert marker.read_text() == cli.source_digest()
+    old = {p.name for p in cache.glob("*.json")}
+    assert len(old) == 2
+    # only <64 lowercase hex digits>.json names are entries
+    others = ["notes.txt", "A" * 64 + ".json", "0" * 63 + ".json", min(old) + ".bak"]
+    for name in others:
+        (cache / name).write_text("not an entry")
+    # the same program prunes nothing
+    analyze_json(capsys, "x^2 + 1", "--cache-dir", str(cache))
+    assert len(list(cache.glob("*.json"))) == 3 + 2
+
+    monkeypatch.setattr(cli, "source_digest", lambda: "f" * 64)
+    before = _listing(cache)
+    code, doc = analyze_json(capsys, "x^2 - 5", "--no-cache", "--cache-dir", str(cache))
+    assert code == 0 and "warnings" not in doc["meta"]
+    assert _listing(cache) == before
+
+    code, doc = analyze_json(capsys, "x^2 - 5", "--cache-dir", str(cache))
+    assert code == 0 and "warnings" not in doc["meta"]
+    new = cli.cache_key(parse_poly("x^2 - 5")) + ".json"
+    assert sorted(_listing(cache)) == sorted(others + [cli.CACHE_MARKER, new])
+    assert marker.read_text() == "f" * 64
+
+
+def test_prune_runs_once_per_command_before_the_scan(capsys, repo_root, tmp_path, monkeypatch):
+    calls = []
+    prune = cli.prune_cache
+    monkeypatch.setattr(cli, "prune_cache", lambda d: calls.append(d) or prune(d))
+    cache = str(tmp_path / "cache")
+    corpus = str(repo_root / "corpus" / "pairs.csv")
+    for argv in (["scan", corpus], ["compare", PAIR_A, PAIR_B], ["analyze", KLEIN_A]):
+        assert run_cli(capsys, *argv, "--cache-dir", cache)[0] in (0, 1)
+    assert calls == [cache] * 3
+    run_cli(capsys, "scan", corpus, "--no-cache", "--cache-dir", cache)
+    assert calls == [cache] * 3
+
+
+def test_prune_error_is_a_meta_warning(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    (cache / cli.CACHE_MARKER).mkdir(parents=True)  # no marker can replace a directory
+    code, doc = analyze_json(capsys, "x^2 - 5", "--cache-dir", str(cache))
+    assert code == 0 and doc["disc"] == "5"
+    assert [w.startswith("cache not pruned") for w in doc["meta"]["warnings"]] == [True]
 
 
 # ---------------------------------------------------------------------------

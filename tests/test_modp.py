@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -180,6 +181,24 @@ def test_factor_mod_p_factors_are_irreducible(d, seed, p):
 def test_factor_mod_p_is_deterministic(d, seed, p):
     f = modp.to_intpoly(random_tuple_poly(p, d, seed))
     assert modp.factor_mod_p(f, p) == modp.factor_mod_p(f, p)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 2**64 - 1])
+def test_factor_mod_p_does_not_depend_on_the_seed(monkeypatch, corpus_analyses, seed):
+    # the corpus fields at their ramified primes (27 of them split a block
+    # of equal-degree factors) and the D12 sextic at its exceptional 23
+    cases = [(fa.poly, p) for fa in corpus_analyses.values() for p, _ in fa.disc_factored]
+    cases.append((corpus_analyses["d12-sextic"].poly, 23))
+    expected = [modp.factor_mod_p(f, p) for f, p in cases]
+    seeds = []
+
+    def fixed(s):
+        seeds.append(s)
+        return random.Random(seed)
+
+    monkeypatch.setattr(modp, "random", SimpleNamespace(Random=fixed))
+    assert [modp.factor_mod_p(f, p) for f, p in cases] == expected
+    assert len(seeds) == len(cases)
 
 
 def test_factor_mod_p_frozen_examples():
