@@ -12,7 +12,6 @@ import json
 import os
 import re
 import sys
-import tempfile
 import time
 
 from . import report
@@ -126,6 +125,7 @@ def cache_load(cache_dir, key, poly):
 
 def _write_atomic(cache_dir, name, data):
     """Write cache_dir/name as a temp file, then rename it into place."""
+    import tempfile  # loads shutil too, which only a cached run needs
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=name, suffix=".tmp", dir=cache_dir)
     try:

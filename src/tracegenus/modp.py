@@ -8,6 +8,11 @@ distinct-degree step and is deterministic; the only randomness is the
 equal-degree step, a random.Random seeded by the repr of (p, coeffs), which
 random hashes with SHA-512: identical calls take identical paths on every
 platform, and as split_blocks sorts its output, the seed never changes it.
+
+norm, add, sub, scal, mul and divmod_p are also valid modulo any integer
+m >= 2: they only reduce mod m, and divmod_p inverts the divisor's leading
+coefficient only when it is not 1. zfactor's Hensel lifting runs them mod
+p^(2^k), dividing only by monic polynomials.
 """
 
 import random

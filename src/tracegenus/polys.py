@@ -2,9 +2,10 @@
 
 Coefficients are arbitrary-precision ints, stored lowest degree first. The
 zero polynomial has an empty coefficient tuple and degree -1. Everything here
-is pure and deterministic; resultants use the subresultant PRS rather than
-any determinant expansion so intermediate coefficients stay polynomially
-bounded.
+is pure and deterministic. gcd, resultant and Sturm count read one
+subresultant PRS (_subresultant_prs), whose intermediate coefficients stay
+polynomially bounded, rather than a determinant expansion or separate
+remainder loops.
 """
 
 import re
@@ -255,11 +256,10 @@ def pseudo_rem(a, b):
     da, db = a.degree, b.degree
     if db < 0:
         raise ZeroDivisionError("pseudo_rem by zero")
+    if da < db:
+        return a
     rem = list(a.coeffs)
     lcb = b.lc
-    if da < db:
-        mul = lcb ** (da - db + 1) if da - db + 1 > 0 else 1
-        return IntPoly([mul * c for c in rem])
     for i in range(da, db - 1, -1):
         c = rem[i]
         for j in range(len(rem)):
@@ -271,86 +271,79 @@ def pseudo_rem(a, b):
     return IntPoly(rem[:db])
 
 
-def poly_gcd(a, b):
-    """gcd in Z[x], primitive with positive leading coefficient.
+def _subresultant_prs(a, b):
+    """The subresultant PRS of a and b, deg a >= deg b >= 0: (members, signs, h).
 
-    Primitive PRS; plenty at the degrees this package handles.
+    members runs a, b, ..., with a_(i+1) = prem(a_(i-1), a_i) / beta_i and
+    beta_i = g * h^d_i, d_i = deg a_(i-1) - deg a_i, and stops at the last
+    nonzero member; h is the final subresultant scale. signs[i] * members[i]
+    is a positive multiple of the i-th member of the signed remainder
+    sequence a, b, -rem(a, b), ...: as prem = lc(b)^(d+1) * (a mod b),
+    sigma_(i+1) = -sigma_(i-1) * sign(lc a_i)^(d_i+1) * sign(beta_i).
     """
-    if a.is_zero and b.is_zero:
-        return IntPoly()
-    ca, pa = a.primitive() if not a.is_zero else (0, a)
-    cb, pb = b.primitive() if not b.is_zero else (0, b)
-    cont = gcd(abs(ca), abs(cb))
-    if a.is_zero:
-        return IntPoly([cont * c for c in pb.coeffs])
+    members = [a, b]
+    signs = [1, 1]
+    g = h = 1
+    while b.degree > 0:
+        d = a.degree - b.degree
+        r = pseudo_rem(a, b)
+        if r.is_zero:
+            break
+        beta = g * h ** d
+        sign = -signs[-2]
+        if b.lc < 0 and d % 2 == 0:
+            sign = -sign
+        if beta < 0:
+            sign = -sign
+        a, b = b, IntPoly([c // beta for c in r.coeffs])
+        members.append(b)
+        signs.append(sign)
+        g = a.lc
+        if d:
+            h = g ** d // h ** (d - 1)
+    return members, signs, h
+
+
+def poly_gcd(a, b):
+    """gcd in Z[x], primitive with positive leading coefficient, times the
+    gcd of the contents."""
+    if a.degree < b.degree:
+        a, b = b, a
+    ca, pa = a.primitive()
     if b.is_zero:
-        return IntPoly([cont * c for c in pa.coeffs])
-    while not pb.is_zero:
-        r = pseudo_rem(pa, pb)
-        pa, pb = pb, r.primitive()[1] if not r.is_zero else IntPoly()
-    if pa.lc < 0:
-        pa = -pa
-    return IntPoly([cont * c for c in pa.coeffs])
-
-
-def _scalar_div(f, k):
-    return IntPoly([c // k for c in f.coeffs])
+        return IntPoly([abs(ca) * c for c in pa.coeffs])
+    cb, pb = b.primitive()
+    cont = gcd(ca, cb)
+    last = _subresultant_prs(pa, pb)[0][-1]
+    return IntPoly([cont * c for c in last.primitive()[1].coeffs])
 
 
 def resultant(a, b):
-    """Res(a, b) over Z via the subresultant PRS."""
+    """Res(a, b) over Z from the subresultant PRS."""
     if a.is_zero or b.is_zero:
         return 0
     da, db = a.degree, b.degree
     if da == 0 and db == 0:
         return 1
-    if da == 0:
-        return a.coeffs[0] ** db
-    if db == 0:
-        return b.coeffs[0] ** da
     sign = 1
     if da < db:
         a, b = b, a
-        da, db = db, da
         if (da * db) % 2 == 1:
             sign = -sign
     ca, a = a.primitive()
     cb, b = b.primitive()
     # contents enter as lc-style powers; their signs ride along correctly
     t = (ca ** b.degree) * (cb ** a.degree)
-    g = 1
-    h = 1
-    while True:
-        da, db = a.degree, b.degree
-        d = da - db
-        if (da % 2 == 1) and (db % 2 == 1):
+    members, _, h = _subresultant_prs(a, b)
+    last = members[-1]
+    if last.degree > 0:
+        # nontrivial common factor
+        return 0
+    for u, v in zip(members, members[1:]):
+        if u.degree % 2 == 1 and v.degree % 2 == 1:
             sign = -sign
-        r = pseudo_rem(a, b)
-        a = b
-        if r.is_zero:
-            # nontrivial common factor (deg a > 0 here)
-            return 0
-        b = _scalar_div(r, g * h ** d)
-        g = a.lc
-        if d == 0:
-            pass  # h unchanged: h = g^0 * h^1
-        elif d == 1:
-            h = g
-        else:
-            num = g ** d
-            den = h ** (d - 1)
-            h = num // den
-        if b.degree == 0:
-            break
-    da = a.degree
-    lb = b.coeffs[0]
-    if da == 0:
-        hf = 1  # cannot happen: loop keeps deg a > 0
-    elif da == 1:
-        hf = lb
-    else:
-        hf = (lb ** da) // (h ** (da - 1))
-    return sign * t * hf
+    k = members[-2].degree
+    return sign * t * (last.lc ** k // h ** (k - 1))
 
 
 def discriminant(f):
@@ -391,21 +384,14 @@ def sturm_count_real_roots(f):
     """Number of distinct real roots of a squarefree f, by Sturm's theorem."""
     if f.degree < 1:
         raise DegenerateInputError("Sturm count of a constant polynomial")
-    # Each member is a positive multiple of the classical Sturm sequence
-    # member: the negated pseudo-remainder, sign-corrected when the
-    # pseudo-division multiplier lc^(da-db+1) is negative, over its content.
-    chain = [f, f.derivative()]
-    while chain[-1].degree > 0:
-        a, b = chain[-2], chain[-1]
-        r = pseudo_rem(a, b)
-        if r.is_zero:
-            # the chain stopped at gcd(f, f') of positive degree
-            raise OutOfDomainError("Sturm count requires a squarefree polynomial")
-        if b.lc > 0 or (a.degree - b.degree) % 2:
-            r = -r
-        chain.append(_scalar_div(r, r.content()))
-    at_pos = [1 if v.lc > 0 else -1 for v in chain]
-    at_neg = [s if v.degree % 2 == 0 else -s for s, v in zip(at_pos, chain)]
+    # f and f' have contents of one sign, so their primitive parts give the
+    # same sign variations
+    members, signs, _ = _subresultant_prs(f.primitive()[1], f.derivative().primitive()[1])
+    if members[-1].degree > 0:
+        # the chain stopped at gcd(f, f') of positive degree
+        raise OutOfDomainError("Sturm count requires a squarefree polynomial")
+    at_pos = [s if v.lc > 0 else -s for s, v in zip(signs, members)]
+    at_neg = [s if v.degree % 2 == 0 else -s for s, v in zip(at_pos, members)]
 
     def variations(signs):
         return sum(x != y for x, y in zip(signs, signs[1:]))

@@ -5,6 +5,7 @@ degrees at up to 5 good primes; when no proper factor degree is allowed by
 all of them, f is irreducible and nothing is lifted. Otherwise the lift runs
 at the good prime with the fewest local factors. Non-monic input is routed
 through the classical monicizing substitution F(x) = lc^(deg-1) * f(x/lc).
+The lift and the recombination use modp's arithmetic modulo p^(2^k).
 """
 
 from itertools import chain, combinations, count
@@ -39,13 +40,6 @@ def yun_squarefree(f):
     return out
 
 
-def zip_pad(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return zip(a, b)
-
-
 def _sq_norm(f):
     return sum(c * c for c in f.coeffs)
 
@@ -65,81 +59,28 @@ def _centered_poly(coeffs, m):
     return IntPoly([_center(c, m) for c in coeffs])
 
 
-def _poly_mul_mod(a, b, m):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                out[i + j] = (out[i + j] + c * d) % m
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_divmod_monic_mod(a, b, m):
-    """(q, r) with a = qb + r mod m; b must have lc = 1 exactly."""
-    a = [c % m for c in a]
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return [], a
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            q[i - db] = c
-            for j, bc in enumerate(b):
-                a[i - db + j] = (a[i - db + j] - c * bc) % m
-    while a and len(a) - 1 >= db:
-        a.pop()
-    return q, a
-
-
-def _trim_to_degree(coeffs, d, m, what):
-    cs = [c % m for c in coeffs]
-    for i in range(d + 1, len(cs)):
-        if cs[i] % m != 0:  # pragma: no cover
-            raise InternalConsistencyError("Hensel %s overflowed its degree" % what)
-    cs = cs[: d + 1]
-    return cs
+def _monic_of_degree(a, d, what):
+    if modp.deg(a) > d:  # pragma: no cover
+        raise InternalConsistencyError("Hensel %s overflowed its degree" % what)
+    if modp.deg(a) < d or a[-1] != 1:  # pragma: no cover
+        raise InternalConsistencyError("Hensel %s lost monicity" % what)
 
 
 def _hensel_step(f, g, h, s, t, m):
     """One quadratic Hensel step: from f = gh (mod m) with sg + th = 1 (mod m)
-    to the same data mod m^2. h stays monic; degrees are preserved."""
+    to the same data mod m^2. g and h stay monic of their degrees."""
     m2 = m * m
-    gh = _poly_mul_mod(g, h, m2)
-    e = [(a - b) % m2 for a, b in zip_pad(f, gh)]
-    se = _poly_mul_mod(s, e, m2)
-    q, r = _poly_divmod_monic_mod(se, h, m2)
-    te = _poly_mul_mod(t, e, m2)
-    qg = _poly_mul_mod(q, g, m2)
-    g1 = [(a + b + c) % m2 for a, b, c in zip3_pad(g, te, qg)]
-    h1 = [(a + b) % m2 for a, b in zip_pad(h, r)]
-    g1 = _trim_to_degree(g1, len(g) - 1, m2, "factor")
-    h1 = _trim_to_degree(h1, len(h) - 1, m2, "cofactor")
-    h1[-1] %= m2
-    if h1[-1] != 1:  # pragma: no cover
-        raise InternalConsistencyError("Hensel cofactor lost monicity")
-    sg = _poly_mul_mod(s, g1, m2)
-    th = _poly_mul_mod(t, h1, m2)
-    b = [(a + c) % m2 for a, c in zip_pad(sg, th)]
-    if b:
-        b[0] = (b[0] - 1) % m2
-    sb = _poly_mul_mod(s, b, m2)
-    c_, d_ = _poly_divmod_monic_mod(sb, h1, m2)
-    s1 = [(a - bb) % m2 for a, bb in zip_pad(s, d_)]
-    tb = _poly_mul_mod(t, b, m2)
-    cg = _poly_mul_mod(c_, g1, m2)
-    t1 = [(a - bb - cc) % m2 for a, bb, cc in zip3_pad(t, tb, cg)]
+    e = modp.sub(f, modp.mul(g, h, m2), m2)
+    q, r = modp.divmod_p(modp.mul(s, e, m2), h, m2)
+    g1 = modp.add(g, modp.add(modp.mul(t, e, m2), modp.mul(q, g, m2), m2), m2)
+    h1 = modp.add(h, r, m2)
+    _monic_of_degree(g1, modp.deg(g), "factor")
+    _monic_of_degree(h1, modp.deg(h), "cofactor")
+    b = modp.sub(modp.add(modp.mul(s, g1, m2), modp.mul(t, h1, m2), m2), (1,), m2)
+    c, d = modp.divmod_p(modp.mul(s, b, m2), h1, m2)
+    s1 = modp.sub(s, d, m2)
+    t1 = modp.sub(t, modp.add(modp.mul(t, b, m2), modp.mul(c, g1, m2), m2), m2)
     return g1, h1, s1, t1
-
-
-def zip3_pad(a, b, c):
-    n = max(len(a), len(b), len(c))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    c = list(c) + [0] * (n - len(c))
-    return zip(a, b, c)
 
 
 def _bezout_mod_p(g, h, p):
@@ -166,14 +107,14 @@ def _bezout_mod_p(g, h, p):
     return s, t
 
 
-def _lift_tree(f_coeffs, factors, p, target):
-    """Lift monic factors (tuples mod p) of the monic integer poly f_coeffs
-    to modulus m >= target; returns (list of lifted coefficient lists, m)."""
+def _lift_tree(f, factors, p, target):
+    """Lift monic factors (tuples mod p) of the monic f (a coefficient
+    sequence) to modulus m >= target; returns (list of lifted tuples, m)."""
     if len(factors) == 1:
         m = p
         while m < target:
             m *= m
-        return [[c % m for c in f_coeffs]], m
+        return [modp.norm(f, m)], m
     half = len(factors) // 2
     g = (1,)
     for fac in factors[:half]:
@@ -182,15 +123,13 @@ def _lift_tree(f_coeffs, factors, p, target):
     for fac in factors[half:]:
         h = modp.mul(h, fac, p)
     s, t = _bezout_mod_p(g, h, p)
-    gl, hl, sl, tl = list(g), list(h), list(s), list(t)
     m = p
     while m < target:
-        gl, hl, sl, tl = _hensel_step([c % (m * m) for c in f_coeffs], gl, hl, sl, tl, m)
+        g, h, s, t = _hensel_step(f, g, h, s, t, m)
         m *= m
     # recurse with the halves as the polynomials to refine further
-    gl[-1] = 1
-    left, _ = _lift_tree(gl, factors[:half], p, target)
-    right, _ = _lift_tree(hl, factors[half:], p, target)
+    left, _ = _lift_tree(g, factors[:half], p, target)
+    right, _ = _lift_tree(h, factors[half:], p, target)
     return left + right, m
 
 
@@ -243,8 +182,7 @@ def _factor_monic_squarefree(f):
     local_tuples = sorted(
         (modp.from_intpoly(fac, p) for fac in local), key=lambda t: (len(t), t)
     )
-    lifted, m = _lift_tree(list(f.coeffs), local_tuples, p, bound)
-    pieces = [tuple(c) for c in lifted]
+    pieces, m = _lift_tree(f.coeffs, local_tuples, p, bound)
     remaining = list(range(len(pieces)))
     result = []
     current = f
@@ -252,9 +190,9 @@ def _factor_monic_squarefree(f):
     while 2 * size <= len(remaining):
         found = None
         for subset in combinations(remaining, size):
-            prod = [1]
+            prod = (1,)
             for i in subset:
-                prod = _poly_mul_mod(prod, pieces[i], m)
+                prod = modp.mul(prod, pieces[i], m)
             cand = _centered_poly(prod, m)
             if not cand.is_monic:
                 continue

@@ -308,17 +308,17 @@ def test_analysis_imports_no_rational_arithmetic(repo_root):
     assert proc.stderr.strip() == "[]"
 
 
-def _loaded_by(code, repo_root):
-    """Which of dataclasses, inspect and hashlib `code` loads beyond what
-    the bare interpreter already has."""
+def _loaded_by(code, repo_root, heavy=("dataclasses", "inspect", "hashlib"), flags=()):
+    """Which of the `heavy` modules `code` loads beyond what the interpreter,
+    started with `flags`, already has."""
     script = (
         "import sys\n"
         "before = set(sys.modules)\n" + code + "\n"
-        "heavy = {'dataclasses', 'inspect', 'hashlib'}\n"
-        "print(sorted(heavy & (set(sys.modules) - before)), file=sys.stderr)"
+        "heavy = set(%r)\n"
+        "print(sorted(heavy & (set(sys.modules) - before)), file=sys.stderr)" % (heavy,)
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, *flags, "-c", script],
         capture_output=True,
         text=True,
         timeout=60,
@@ -342,6 +342,18 @@ def test_cold_start_loads_no_dataclasses_inspect_or_hashlib(repo_root, tmp_path)
     # a cached run still hashes the sources and the key
     cached = analyze % (KLEIN_A, "'--cache-dir', %r" % str(tmp_path / "cache"))
     assert _loaded_by(cached, repo_root) == "['hashlib']"
+
+
+def test_cold_start_without_site_loads_no_tempfile(repo_root, tmp_path):
+    # a site that imports tempfile and shutil would hide them, so run without
+    assert _loaded_by("import tracegenus.cli", repo_root, ("shutil", "tempfile"), ["-S"]) == "[]"
+    # argparse's help formatter imports shutil itself, for the terminal width
+    analyze = "import tracegenus.cli as cli\nassert cli.main(['analyze', %r, %s]) == 0\n"
+    uncached = analyze % (KLEIN_A, "'--no-cache'")
+    assert _loaded_by(uncached, repo_root, ("tempfile",), ["-S"]) == "[]"
+    # a cached run writes its entry through a temp file
+    cached = analyze % (KLEIN_A, "'--cache-dir', %r" % str(tmp_path / "cache"))
+    assert _loaded_by(cached, repo_root, ("tempfile",), ["-S"]) == "['tempfile']"
 
 
 # ---------------------------------------------------------------------------

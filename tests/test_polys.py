@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import count_real_roots, sylvester_disc, sylvester_resultant
@@ -184,6 +184,45 @@ def test_sturm_frozen_values():
     assert sturm_count_real_roots(parse_poly("x^4 - 41*x^2 + 144")) == 4
     assert sturm_count_real_roots(parse_poly("x^6 - x^5 - 2*x^4 + x^3 + 7*x^2 - 6*x + 4")) == 0
     assert sturm_count_real_roots(parse_poly("x^5 - x + 1")) == 1
+
+
+def test_sturm_sign_recurrence_frozen_values():
+    # negative leading coefficients and degree gaps flip the subresultant
+    # scale beta, whose sign the Sturm signs must carry
+    assert sturm_count_real_roots(parse_poly("-x^7 + x^6 - x^2 + x - 2")) == 1
+    assert sturm_count_real_roots(parse_poly("x^9 - 9*x^4 - 4")) == 1
+    assert sturm_count_real_roots(parse_poly("-2*x^7 + x^2 - 1")) == 1
+    assert sturm_count_real_roots(parse_poly("x^5 - 3*x + 1")) == 3
+
+
+def sparse_polys():
+    """Degree 1-12, 1-3 nonzero lower terms, a small leading coefficient."""
+    nonzero = st.integers(-12, 12).filter(lambda c: c != 0)
+
+    def build(d, lead, lower):
+        cs = [0] * d + [lead]
+        for e, c in lower.items():
+            cs[e] = c
+        return IntPoly(cs)
+
+    return st.integers(1, 12).flatmap(
+        lambda d: st.builds(
+            build,
+            st.just(d),
+            st.sampled_from([1, -1, 2, -3, 5]),
+            st.dictionaries(st.integers(0, d - 1), nonzero, min_size=1, max_size=min(3, d)),
+        )
+    )
+
+
+@settings(max_examples=150)
+@given(sparse_polys())
+def test_sign_recurrence_on_sparse_polynomials(f):
+    g = squarefree_part(f)
+    if g.degree >= 1:
+        assert sturm_count_real_roots(g) == count_real_roots(g.coeffs)
+    if f.degree >= 2:
+        assert discriminant(f) == sylvester_disc(f.coeffs)
 
 
 @pytest.mark.parametrize("text", ["x^3 - x^2", "x^4 + 2*x^2 + 1"])

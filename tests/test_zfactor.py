@@ -140,6 +140,21 @@ def test_reducible_mod_every_prime_still_lifts_and_stays_irreducible(lifts, text
     assert lifts
 
 
+def test_lift_tree_pieces_multiply_to_f_and_reduce_to_local_factors(lifts):
+    f = parse_poly("x^8 - 40*x^6 + 352*x^4 - 960*x^2 + 576")
+    assert is_irreducible(f)
+    f_coeffs, local, p, target = lifts[0]
+    assert p == 7 and len(local) == 4  # four quadratics at its lift prime
+    pieces, m = zfactor._lift_tree(f_coeffs, local, p, target)
+    assert m >= target and m == p ** 8
+    prod = (1,)
+    for piece in pieces:
+        assert piece[-1] == 1
+        prod = modp.mul(prod, piece, m)
+    assert prod == modp.norm(f.coeffs, m)
+    assert [modp.norm(piece, p) for piece in pieces] == local
+
+
 def test_degree_analysis_keeps_true_factors():
     a, b = parse_poly("x^4 - 10*x^2 + 1"), parse_poly("x^2 - 2")
     assert factor_over_z(a * b) == (1, [(b, 1), (a, 1)])
