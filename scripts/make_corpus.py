@@ -85,7 +85,7 @@ def sample_poly(rng, band):
     return IntPoly(coeffs)
 
 
-def main():
+def main(out=OUT):
     rng = random.Random(SEED)
     rows = list(NAMED)
     seen = {text for _, text in rows}
@@ -105,12 +105,12 @@ def main():
             seen.add(text)
             rows.append(("r%d-%02d" % (band.degree, found + 1), text))
             found += 1
-    with open(OUT, "w", encoding="ascii") as fh:
+    with open(out, "w", encoding="ascii") as fh:
         fh.write("# corpus of number fields: label,polynomial\n")
         fh.write("# regenerate with scripts/make_corpus.py (fixed seed %d)\n" % SEED)
         for label, text in rows:
             fh.write("%s,%s\n" % (label, text))
-    print("wrote %d records to %s" % (len(rows), OUT))
+    print("wrote %d records to %s" % (len(rows), out))
 
 
 if __name__ == "__main__":

@@ -148,31 +148,35 @@ def _multiply_in_order(table, x, y):
 
 
 class QuotientAlgebra(NamedTuple):
-    """The F_p-algebra O/pO of an order O. Elements are coordinate lists
-    mod p on the order's basis, whose row 0 is the element 1.
+    """A commutative F_p-algebra given by structure constants: O/pO of an
+    order O, or one derived from it by the splitting route (a quotient or an
+    idempotent component). Elements are coordinate lists mod p.
 
     table[i][j] holds the coordinates of w_i * w_j, read mod p: Round 2 and
     split_prime pass the order's integer mult_table as it is, since mul
-    reduces every product.
+    reduces every product. unit holds the coordinates of 1; None means basis
+    element 0, as for an order's basis, whose row 0 is the element 1.
     """
 
     p: int
     dim: int
     table: tuple
+    unit: tuple = None
 
     def mul(self, a, b):
         p = self.p
         return [c % p for c in _multiply_in_order(self.table, a, b)]
 
     def one(self):
-        return [1] + [0] * (self.dim - 1)
+        if self.unit is None:
+            return [1] + [0] * (self.dim - 1)
+        return list(self.unit)
 
 
 def frobenius_matrix(alg):
-    """Rows of the F_p-linear map x -> x^p on the basis of a commutative
-    F_p-algebra, by square-and-multiply on the exponent p. alg is any of the
-    algebras here (QuotientAlgebra and the splitting route's quotient and
-    component algebras); this uses only its p, dim and mul(a, b)."""
+    """Rows of the F_p-linear map x -> x^p on the basis of a QuotientAlgebra
+    (O/pO, or a quotient or component algebra of the splitting route), by
+    square-and-multiply on the exponent p."""
     p = alg.p
     rows = []
     for i in range(alg.dim):

@@ -7,6 +7,10 @@ defining polynomial mod p already is the answer. Otherwise the artinian
 algebra A = O/pO is decomposed directly: nilradical by iterated Frobenius,
 semisimple quotient split into fields along its Frobenius-fixed subalgebra,
 and lifted idempotents to measure each local dimension e_i * f_i.
+
+Every algebra on this route is a QuotientAlgebra: A itself, the quotient
+A/N by the nilradical and each component eps*B of an idempotent eps get
+their own structure constants, built once from products in the parent.
 """
 
 from typing import NamedTuple
@@ -65,45 +69,45 @@ def _shape_from_modp_factors(p, factors):
     return SplittingType(p=p, pairs=tuple(pairs))
 
 
-class _RadicalQuotient:
-    """The semisimple quotient A/N for A = O/pO (a QuotientAlgebra) with
-    nilradical N: coset representatives indexed by the non-pivot coordinates
-    of N's reduced echelon basis."""
-
-    def __init__(self, base, radical_rows):
-        self.base = base
-        self.p = base.p
-        rref, pivots = rref_mod_p([list(r) for r in radical_rows], base.p)
-        self.rad_rows = rref
-        self.rad_pivots = pivots
-        self.free = [j for j in range(base.dim) if j not in set(pivots)]
-        self.dim = len(self.free)
-
-    def reduce(self, vec):
-        v = list(vec)  # base-algebra elements are already reduced mod p
-        for row, j in zip(self.rad_rows, self.rad_pivots):
-            c = v[j]
-            if c:
-                for t in range(self.base.dim):
-                    v[t] = (v[t] - c * row[t]) % self.p
-        return [v[j] for j in self.free]
-
-    def lift(self, u):
-        v = [0] * self.base.dim
-        for coord, j in zip(u, self.free):
-            v[j] = coord % self.p
-        return v
-
-    def mul(self, a, b):
-        return self.reduce(self.base.mul(self.lift(a), self.lift(b)))
-
-    def one(self):
-        return self.reduce(self.base.one())
+def _basis_vectors(n):
+    return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
 
 
-def _min_poly_mod_p(alg, vec, p):
+def _reduce(v, rows, pivots, p):
+    """Eliminate v against reduced echelon rows mod p: returns the
+    coefficient taken at each pivot and the remainder."""
+    v = [c % p for c in v]
+    taken = []
+    for row, j in zip(rows, pivots):
+        c = v[j]
+        taken.append(c)
+        if c:
+            v = [(a - c * b) % p for a, b in zip(v, row)]
+    return taken, v
+
+
+def _lift(reps, u, p):
+    """sum u_i * reps_i: an element of a derived algebra, back in its parent."""
+    v = [0] * len(reps[0])
+    for c, rep in zip(u, reps):
+        if c:
+            v = [(a + c * b) % p for a, b in zip(v, rep)]
+    return v
+
+
+def _derived_algebra(alg, reps, coords, one):
+    """An algebra derived from alg (the quotient A/N or a component eps*B)
+    as a QuotientAlgebra with its own structure constants. reps represent
+    its basis in alg, coords maps an element of alg to coordinates on that
+    basis, and one is its unit in alg; the dim^2 products are made once."""
+    table = tuple(tuple(tuple(coords(alg.mul(a, b))) for b in reps) for a in reps)
+    return QuotientAlgebra(p=alg.p, dim=len(reps), table=table, unit=tuple(coords(one)))
+
+
+def _min_poly_mod_p(alg, vec):
     """Minimal polynomial of vec in the algebra, by echelon insertion of its
     powers. Returns low-to-high coefficient tuple, monic."""
+    p = alg.p
     echelon = {}
     power = alg.one()
     k = 0
@@ -152,30 +156,12 @@ def _split_semisimple(alg):
     one = alg.one()
     if g == 1:
         return [(one, alg.dim)]
-    splitter = None
-    for vec in kernel:
-        vec = [c % p for c in vec]
-        # scalar multiples of 1 do not separate components
-        ratio = None
-        is_scalar = True
-        for a, b in zip(vec, one):
-            if b == 0:
-                if a % p:
-                    is_scalar = False
-                    break
-            else:
-                r = (a * pow(b, -1, p)) % p
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    is_scalar = False
-                    break
-        if not is_scalar:
-            splitter = vec
-            break
+    # scalar multiples of 1 do not separate components; v is one of them
+    # exactly when (v, 1) has rank 1
+    splitter = next((v for v in kernel if len(rref_mod_p([v, one], p)[0]) == 2), None)
     if splitter is None:  # pragma: no cover
         raise InternalConsistencyError("fixed space of dimension >1 is all scalars")
-    mp = _min_poly_mod_p(alg, splitter, p)
+    mp = _min_poly_mod_p(alg, splitter)
     roots = [
         (modp.from_intpoly(fac, p), mult)
         for fac, mult in modp.factor_mod_p(modp.to_intpoly(mp), p)
@@ -198,54 +184,18 @@ def _split_semisimple(alg):
         components.append(eps)
     result = []
     for eps in components:
-        sub = _SubAlgebra(alg, eps)
-        for sub_eps, f in _split_semisimple(sub):
-            result.append((sub.to_parent(sub_eps), f))
+        # eps*B with unit eps, on the echelon rows of eps*B
+        rows, pivots = rref_mod_p([alg.mul(eps, e) for e in _basis_vectors(alg.dim)], p)
+
+        def coords(v):
+            taken, rest = _reduce(v, rows, pivots, p)
+            if any(rest):  # pragma: no cover
+                raise InternalConsistencyError("product left the idempotent component")
+            return taken
+
+        for sub_eps, f in _split_semisimple(_derived_algebra(alg, rows, coords, eps)):
+            result.append((_lift(rows, sub_eps, p), f))
     return result
-
-
-class _SubAlgebra:
-    """eps * B for an idempotent eps of B, with eps as its unit."""
-
-    def __init__(self, parent, eps):
-        self.parent = parent
-        self.p = parent.p
-        self.eps = eps
-        rows = []
-        for i in range(parent.dim):
-            e = [1 if j == i else 0 for j in range(parent.dim)]
-            rows.append(parent.mul(eps, e))
-        rref, pivots = rref_mod_p(rows, parent.p)
-        self.basis = rref
-        self.pivots = pivots
-        self.dim = len(rref)
-
-    def to_parent(self, u):
-        v = [0] * self.parent.dim
-        for coord, row in zip(u, self.basis):
-            if coord:
-                for t in range(self.parent.dim):
-                    v[t] = (v[t] + coord * row[t]) % self.p
-        return v
-
-    def _coords(self, v):
-        v = [c % self.p for c in v]
-        out = []
-        for row, j in zip(self.basis, self.pivots):
-            c = v[j]
-            out.append(c)
-            if c:
-                for t in range(len(v)):
-                    v[t] = (v[t] - c * row[t]) % self.p
-        if any(c % self.p for c in v):  # pragma: no cover
-            raise InternalConsistencyError("product left the idempotent component")
-        return out
-
-    def mul(self, a, b):
-        return self._coords(self.parent.mul(self.to_parent(a), self.to_parent(b)))
-
-    def one(self):
-        return self._coords(self.eps)
 
 
 def _lift_idempotent(alg, e0):
@@ -285,19 +235,25 @@ def split_prime(max_order, p, method="auto"):
     if method != "algebra" and max_order.index % p != 0:
         return _shape_from_modp_factors(p, modp.factor_degrees(f, p))
     alg = QuotientAlgebra(p=p, dim=n, table=mult_table(max_order.order))
-    semisimple = _RadicalQuotient(alg, _radical_kernel(alg))
+    # A/N on the unit vectors off the pivots of the nilradical's echelon basis
+    rad, pivots = rref_mod_p([list(r) for r in _radical_kernel(alg)], p)
+    free = [j for j in range(n) if j not in pivots]
+    basis = _basis_vectors(n)
+    reps = [basis[j] for j in free]
+
+    def coords(v):
+        rest = _reduce(v, rad, pivots, p)[1]
+        return [rest[j] for j in free]
+
+    semisimple = _derived_algebra(alg, reps, coords, alg.one())
     components = _split_semisimple(semisimple)
     if sum(fdeg for _, fdeg in components) != semisimple.dim:  # pragma: no cover
         raise InternalConsistencyError("component degrees do not sum to quotient dim")
     pairs = []
     total = 0
     for eps, fdeg in components:
-        lifted = _lift_idempotent(alg, semisimple.lift(eps))
-        rows = []
-        for i in range(n):
-            e = [1 if j == i else 0 for j in range(n)]
-            rows.append(alg.mul(lifted, e))
-        rank = len(rref_mod_p(rows, p)[0])
+        lifted = _lift_idempotent(alg, _lift(reps, eps, p))
+        rank = len(rref_mod_p([alg.mul(lifted, e) for e in basis], p)[0])
         e_i, rem = divmod(rank, fdeg)
         if rem:  # pragma: no cover
             raise InternalConsistencyError("local dimension not divisible by f")

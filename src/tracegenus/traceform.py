@@ -46,28 +46,24 @@ def power_sums(f, upto):
     return s
 
 
-def trace_of_poly(g, sums):
-    """Tr(g(theta)) given the power sums; g must be reduced mod f."""
-    return sum(c * sums[k] for k, c in enumerate(g.coeffs))
-
-
 def gram_matrix(order):
     """Gram matrix Tr(w_i w_j) of the order's basis; integer entries.
 
-    Accepts an Order or a MaximalOrder.
+    With B = basis_num, d = denom and the Hankel matrix H[a][b] = s_(a+b) =
+    Tr(theta^(a+b)) of power sums, the Gram matrix is B H B^T / d^2; no
+    product is reduced mod f. Accepts an Order or a MaximalOrder.
     """
     order = getattr(order, "order", order)
     n = order.degree
-    d = order.denom
-    sums = power_sums(order.poly, max(n - 1, 0))
-    polys = order.basis_polys()
-    d2 = d * d
+    d2 = order.denom ** 2
+    sums = power_sums(order.poly, 2 * n - 2)
+    basis = order.basis_num
+    # rows of B H
+    bh = [[sum(c * sums[a + b] for a, c in enumerate(row) if c) for b in range(n)] for row in basis]
     gram = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            prod = (polys[i] * polys[j]).mod_monic(order.poly)
-            t = trace_of_poly(prod, sums)
-            q, r = divmod(t, d2)
+            q, r = divmod(sum(x * y for x, y in zip(bh[i], basis[j])), d2)
             if r:
                 raise InternalConsistencyError(
                     "trace pairing of basis elements is not integral"

@@ -294,6 +294,31 @@ def power_sum_of_roots(roots, k):
 
 
 # ---------------------------------------------------------------------------
+# Gram matrix of the trace form by polynomial products
+
+
+def gram_by_products(order):
+    """Tr(w_i w_j) / d^2 from the products w_i * w_j reduced mod f, each
+    traced against the power sums s_0..s_(n-1). None if an entry is not an
+    integer."""
+    from tracegenus.traceform import power_sums
+
+    n = order.degree
+    sums = power_sums(order.poly, n - 1)
+    polys = order.basis_polys()
+    d2 = order.denom**2
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            prod = (polys[i] * polys[j]).mod_monic(order.poly)
+            q, r = divmod(sum(c * sums[k] for k, c in enumerate(prod.coeffs)), d2)
+            if r:
+                return None
+            gram[i][j] = gram[j][i] = q
+    return tuple(tuple(row) for row in gram)
+
+
+# ---------------------------------------------------------------------------
 # certified-irreducible building blocks for factorization tests
 
 

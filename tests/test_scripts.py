@@ -1,0 +1,25 @@
+"""The scripts under scripts/ reproduce what the repository commits."""
+
+import importlib.util
+
+
+def load_script(repo_root, name):
+    spec = importlib.util.spec_from_file_location(
+        "script_" + name, repo_root / "scripts" / (name + ".py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_make_corpus_reproduces_the_committed_corpus(repo_root, tmp_path, capsys):
+    out = tmp_path / "fields.csv"
+    load_script(repo_root, "make_corpus").main(out)
+    assert "wrote 60 records" in capsys.readouterr().out
+    assert out.read_bytes() == (repo_root / "corpus" / "fields.csv").read_bytes()
+
+
+def test_gamma_census_verifies_the_valuation_identity(repo_root, capsys):
+    census = load_script(repo_root, "gamma_census")
+    assert census.main([str(repo_root / "corpus" / "fields.csv"), "--verify"]) == 0
+    assert "valuation identity: 13 checks, 0 failures" in capsys.readouterr().out

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import is_squarefree_int, quadratic_splitting
-from tracegenus import modp
+from tracegenus import modp, splitting
 from tracegenus.errors import InvalidPrimeError, OutOfDomainError, WildRamificationError
 from tracegenus.orders import QuotientAlgebra, frobenius_matrix, maximal_order, mult_table
 from tracegenus.polys import IntPoly, parse_poly
@@ -90,6 +90,30 @@ def test_routes_agree_on_corpus(corpus_analyses):
             assert algebra.pairs == sp.pairs
             checked += 1
     assert checked > 60  # many ramified primes across the corpus
+
+
+def test_routes_agree_at_small_primes_on_corpus(corpus_analyses, monkeypatch):
+    # unramified primes included: the algebra route then recurses through
+    # component algebras whenever g >= 2, with no ramified prime to force it
+    derived = []
+    build = splitting._derived_algebra
+    monkeypatch.setattr(
+        splitting, "_derived_algebra", lambda *args: derived.append(build(*args)) or derived[-1]
+    )
+    split_three_ways = 0
+    for analysis in corpus_analyses.values():
+        if analysis.degree == 1:
+            continue
+        for p in SMALL_PRIMES:
+            algebra = split_prime(analysis.max_order, p, method="algebra")
+            assert algebra == split_prime(analysis.max_order, p)
+            split_three_ways += algebra.g >= 3
+    assert split_three_ways > 50
+    assert len(derived) > 500
+    for alg in derived:
+        one = alg.one()
+        for e in ([1 if j == i else 0 for j in range(alg.dim)] for i in range(alg.dim)):
+            assert alg.mul(one, e) == e and alg.mul(e, one) == e
 
 
 def test_splitting_invariants_on_corpus(corpus_analyses):

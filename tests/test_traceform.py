@@ -7,10 +7,11 @@ from helpers import (
     brute_nonresidue,
     count_real_roots,
     frac_det,
+    gram_by_products,
     power_sum_of_roots,
 )
 from tracegenus.errors import InvalidPrimeError, OutOfDomainError, WildRamificationError
-from tracegenus.orders import maximal_order
+from tracegenus.orders import equation_order, maximal_order
 from tracegenus.polys import IntPoly, parse_poly, poly_gcd
 from tracegenus.splitting import SplittingType
 from tracegenus.traceform import (
@@ -24,7 +25,6 @@ from tracegenus.traceform import (
     gamma_test,
     gram_matrix,
     power_sums,
-    trace_of_poly,
 )
 
 
@@ -56,11 +56,13 @@ def test_power_sums_quadratic_recurrence():
 
 
 def test_trace_of_basis_elements():
+    # on the power basis the Gram matrix is the Hankel matrix of power sums
     f = parse_poly("x^3 - x^2 - 20*x - 1")
     sums = power_sums(f, 4)
-    assert trace_of_poly(poly(1), sums) == 3  # Tr(1) = degree
-    assert trace_of_poly(poly(0, 1), sums) == 1  # Tr(theta) = -a2
-    assert trace_of_poly(poly(0, 0, 1), sums) == sums[2]
+    gram = gram_matrix(equation_order(f))
+    assert gram == tuple(tuple(sums[a + b] for b in range(3)) for a in range(3))
+    assert gram[0][0] == 3  # Tr(1) = degree
+    assert gram[0][1] == 1  # Tr(theta) = -a2
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +109,21 @@ def test_gram_det_is_field_disc_and_signature_matches(text):
     assert frac_det(gram) == mo.disc
     r, s = field_signature(f)
     assert form_signature(gram) == (r + s, s)
+
+
+def test_gram_matches_polynomial_products_on_corpus(corpus_analyses):
+    denoms = set()
+    for analysis in corpus_analyses.values():
+        order = analysis.max_order.order
+        assert gram_matrix(order) == gram_by_products(order)
+        denoms.add(order.denom)
+    assert len(denoms) > 3  # integral bases well away from the power basis
+
+
+@pytest.mark.parametrize("text", ["x^32 + 1", "x^40 - 3"])
+def test_gram_matches_polynomial_products_in_high_degree(text):
+    mo = maximal_order(parse_poly(text))
+    assert gram_matrix(mo) == gram_by_products(mo.order)
 
 
 # ---------------------------------------------------------------------------
