@@ -1,6 +1,10 @@
 """Command-line surface: analyze / compare / scan with a content-addressed
 on-disk cache.
 
+`scan --jobs N` runs N workers (at most one per CPU and per record; one where
+there is no os.fork): this process takes records 0, N, 2N, ... and N - 1
+forked children the other strides, with the same output as `--jobs 1`.
+
 Exit codes: 0 success (or verdict same), 1 verdict different (or every scan
 record failed), 2 unparseable or ill-formed input, 3 reducible polynomial,
 4 comparison not applicable.
@@ -264,7 +268,7 @@ def cmd_compare(args):
 
 
 def _scan_one(task):
-    """Worker for scan: analyze one corpus record. Top-level so it pickles."""
+    """Worker for scan: analyze one corpus record."""
     label, text, cache_dir = task
     try:
         doc, warnings = analyze_text(text, cache_dir)
@@ -274,6 +278,52 @@ def _scan_one(task):
         record = {"label": label, "input": text, "ok": False, "error": err["error"]}
         warnings = []
     return record, warnings
+
+
+def _fan_out(fn, tasks, workers):
+    """[fn(t) for t in tasks] over `workers` processes: worker k takes tasks
+    k, k + workers, ...; worker 0 is this process, the others are forked
+    children (the CLI runs no threads) that each send their results back as
+    one JSON text. Whatever raises, no child outlives the call."""
+    children = []  # (pid, read end of its pipe) of each child not yet reaped
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # leaves only by os._exit, so that no inherited
+                status = 1  # buffer, atexit hook or test teardown runs twice
+                try:
+                    with open(w, "wb") as out:
+                        out.write(json.dumps([fn(t) for t in tasks[k::workers]]).encode())
+                    status = 0
+                except BaseException:
+                    import traceback
+                    traceback.print_exc()
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        results = [None] * len(tasks)
+        results[::workers] = [fn(t) for t in tasks[::workers]]
+        for k in range(1, workers):
+            pid, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if status:
+                raise RuntimeError("scan worker %d failed (wait status %d)" % (k, status))
+            try:
+                results[k::workers] = json.loads(payload)
+            except ValueError:
+                raise RuntimeError("scan worker %d sent an unreadable payload" % k) from None
+        return results
+    finally:
+        for pid, pipe in children:  # only after something raised
+            import signal
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _pair_sweep(records):
@@ -330,19 +380,11 @@ def cmd_scan(args):
     cache_dir, warnings = open_cache(args)
     tasks = [(r.label, r.text, cache_dir) for r in corpus]
     records = []
-    # with fork, the pool starts every worker at once, so never more than
-    # there are CPUs or records
-    workers = min(args.jobs, os.cpu_count() or 1, len(tasks))
-    if workers > 1:
-        # imported here: it pulls in multiprocessing, which a serial run or
-        # a plain analyze never needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_one, tasks))
-    else:
-        results = [_scan_one(t) for t in tasks]
-    for record, warns in results:
+    # every worker starts at once, so never more than there are CPUs or
+    # records, and at least one, which an empty corpus needs
+    jobs = args.jobs if hasattr(os, "fork") else 1
+    workers = max(1, min(jobs, os.cpu_count() or 1, len(tasks)))
+    for record, warns in _fan_out(_scan_one, tasks, workers):
         records.append(record)
         warnings.extend(warns)
     gamma_count = tame_count = 0
@@ -399,26 +441,43 @@ def _add_common_flags(sub):
     )
 
 
+def _help_formatter():
+    """argparse's HelpFormatter at the width that shutil.get_terminal_size()
+    gives; argparse would import shutil for it in every add_argument."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            pass
+    return functools.partial(argparse.HelpFormatter, width=(columns if columns > 0 else 80) - 2)
+
+
 def build_parser():
+    fmt = _help_formatter()
     parser = argparse.ArgumentParser(
         prog="tracegenus",
         description="Integral trace forms of number fields: analysis and "
         "spinor-genus comparison.",
+        formatter_class=fmt,
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_analyze = subs.add_parser("analyze", help="analyze one field")
+    p_analyze = subs.add_parser("analyze", help="analyze one field", formatter_class=fmt)
     p_analyze.add_argument("polynomial", help='e.g. "x^4 - 41*x^2 + 144" or "144,0,-41,0,1"')
     _add_common_flags(p_analyze)
     p_analyze.set_defaults(func=cmd_analyze)
 
-    p_compare = subs.add_parser("compare", help="compare two fields")
+    p_compare = subs.add_parser("compare", help="compare two fields", formatter_class=fmt)
     p_compare.add_argument("left")
     p_compare.add_argument("right")
     _add_common_flags(p_compare)
     p_compare.set_defaults(func=cmd_compare)
 
-    p_scan = subs.add_parser("scan", help="analyze a corpus CSV")
+    p_scan = subs.add_parser("scan", help="analyze a corpus CSV", formatter_class=fmt)
     p_scan.add_argument("corpus", help="CSV file: label,polynomial")
     p_scan.add_argument("--pairs", action="store_true", help="cross-validate applicable pairs")
     p_scan.add_argument(

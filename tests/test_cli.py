@@ -5,11 +5,13 @@ subprocess tests check the installed console script end to end and what
 importing and running the CLI loads.
 """
 
+import argparse
 import json
 import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -233,49 +235,107 @@ def test_scan_rejects_bad_jobs(capsys, repo_root, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the worker count, runs serially."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
 @pytest.mark.parametrize(
     "jobs, cpus, expected",
     [
         ("8", 2, [2]),  # capped by the CPU count
         ("8", 64, [4]),  # capped by the 4 records of pairs.csv
         ("3", 64, [3]),
-        ("8", 1, []),  # one CPU: serial, no pool
-        ("8", None, []),  # unknown CPU count counts as one
+        ("8", 1, [1]),  # one CPU: serial
+        ("8", None, [1]),  # unknown CPU count counts as one
     ],
 )
 def test_scan_caps_worker_count(capsys, repo_root, monkeypatch, jobs, cpus, expected):
-    import concurrent.futures
-
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    sizes = []
+    fan_out = cli._fan_out
+    # record the worker count, then run serially
+    monkeypatch.setattr(cli, "_fan_out", lambda fn, tasks, w: sizes.append(w) or fan_out(fn, tasks, 1))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     corpus = str(repo_root / "corpus" / "pairs.csv")
     code, out, _ = run_cli(capsys, "scan", corpus, "--jobs", jobs, "--no-cache")
     assert code == 0
     assert len(json.loads(out)["records"]) == 4
-    assert _RecordingPool.sizes == expected
+    assert sizes == expected
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_scan_fan_out_gives_the_serial_bytes_and_cache(capsys, repo_root, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)  # fork even on a 1-CPU host
+    corpus = str(repo_root / "corpus" / "fields.csv")
+    serial, forked = str(tmp_path / "serial"), str(tmp_path / "forked")
+    runs = [
+        ("--jobs", "1", "--cache-dir", serial),
+        ("--jobs", "2", "--cache-dir", forked),  # cold
+        ("--jobs", "1", "--cache-dir", forked),  # warm
+        ("--jobs", "3", "--no-cache"),
+    ]
+    outputs = []
+    for argv in runs:
+        code, out, _ = run_cli(capsys, "scan", corpus, "--pairs", *argv)
+        assert code == 0
+        outputs.append(canonical_bytes(json.loads(out)))
+    assert json.loads(outputs[0])["count"] == 60
+    assert outputs == [outputs[0]] * len(runs)
+    entries = {
+        name: {p.name: p.read_bytes() for p in (tmp_path / name).glob("*.json")}
+        for name in ("serial", "forked")
+    }
+    assert len(entries["serial"]) == 60 and entries["forked"] == entries["serial"]
+    _assert_no_child_left()
+
+
+class _Broken(Exception):
+    """Not a TraceGenusError, so scan does not turn it into a failed record."""
+
+
+@pytest.mark.parametrize(
+    "broken, error, match",
+    [
+        (1, RuntimeError, "scan worker 1 failed"),  # in a child's stride
+        (2, RuntimeError, "scan worker 2 failed"),
+        (0, _Broken, "record 0"),  # in this process's stride
+        (3, KeyboardInterrupt, "record 3"),
+    ],
+)
+def test_scan_worker_error_fails_loudly_and_leaves_no_child(
+    capsys, repo_root, monkeypatch, broken, error, match
+):
+    # pairs.csv has 4 records: with 3 workers this process takes 0 and 3
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    corpus = repo_root / "corpus" / "pairs.csv"
+    index = {r.text: i for i, r in enumerate(cli.read_corpus(corpus))}
+    analyze, parent = cli.analyze_text, os.getpid()
+
+    def analyze_text(text, cache_dir):
+        if index[text] == broken:
+            raise error("record %d" % broken)
+        if os.getpid() != parent and broken % 3 == 0:
+            time.sleep(60)  # children still busy when this process fails are killed
+        return analyze(text, cache_dir)
+
+    monkeypatch.setattr(cli, "analyze_text", analyze_text)
+    t0 = time.monotonic()
+    with pytest.raises(error, match=match):
+        cli.main(["scan", str(corpus), "--jobs", "3", "--no-cache"])
+    assert time.monotonic() - t0 < 30
+    assert capsys.readouterr().out == ""
+    _assert_no_child_left()
+
+
+def test_scan_empty_corpus_with_jobs(capsys, tmp_path):
+    corpus = tmp_path / "empty.csv"
+    corpus.write_text("# comments only\n# no records\n")
+    code, out, _ = run_cli(capsys, "scan", str(corpus), "--jobs", "2", "--no-cache")
+    assert code == 0
+    assert json.loads(out)["count"] == 0
 
 
 def test_cli_import_leaves_out_process_pool(repo_root):
-    # the pool machinery is imported only by a parallel scan
+    # no command needs the pool machinery, so importing the CLI loads none
     code = "import sys, tracegenus.cli; print('concurrent.futures' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -347,13 +407,52 @@ def test_cold_start_loads_no_dataclasses_inspect_or_hashlib(repo_root, tmp_path)
 def test_cold_start_without_site_loads_no_tempfile(repo_root, tmp_path):
     # a site that imports tempfile and shutil would hide them, so run without
     assert _loaded_by("import tracegenus.cli", repo_root, ("shutil", "tempfile"), ["-S"]) == "[]"
-    # argparse's help formatter imports shutil itself, for the terminal width
+    # build_parser gives argparse the terminal width, so its help formatter
+    # does not import shutil for it
     analyze = "import tracegenus.cli as cli\nassert cli.main(['analyze', %r, %s]) == 0\n"
     uncached = analyze % (KLEIN_A, "'--no-cache'")
-    assert _loaded_by(uncached, repo_root, ("tempfile",), ["-S"]) == "[]"
+    assert _loaded_by(uncached, repo_root, ("shutil", "tempfile"), ["-S"]) == "[]"
     # a cached run writes its entry through a temp file
     cached = analyze % (KLEIN_A, "'--cache-dir', %r" % str(tmp_path / "cache"))
     assert _loaded_by(cached, repo_root, ("tempfile",), ["-S"]) == "['tempfile']"
+
+
+def test_parallel_scan_loads_no_pool_pickle_or_threads(repo_root):
+    scan = (
+        "import os, tracegenus.cli as cli\n"
+        "os.cpu_count = lambda: 2\n"
+        "fan_out, sizes = cli._fan_out, []\n"
+        "cli._fan_out = lambda fn, tasks, w: sizes.append(w) or fan_out(fn, tasks, w)\n"
+        "assert cli.main(['scan', %r, '--jobs', '2', '--no-cache']) == 0 and sizes == [2]\n"
+        % str(repo_root / "corpus" / "pairs.csv")
+    )
+    watched = ("concurrent.futures", "multiprocessing", "pickle", "threading")
+    assert _loaded_by(scan, repo_root, watched, ["-S"]) == "[]"
+
+
+def _help_texts():
+    parser = cli.build_parser()
+    parsers = [parser, *parser._subparsers._group_actions[0].choices.values()]
+    return [p.format_help() for p in parsers], parsers
+
+
+@pytest.mark.parametrize("columns", ["60", "132", "", "0"])
+def test_help_text_is_unchanged(monkeypatch, columns):
+    # "" and "0" leave the width to the terminal or the fallback of 80
+    monkeypatch.setenv("COLUMNS", columns)
+    ours, parsers = _help_texts()
+    for p in parsers:
+        p.formatter_class = argparse.HelpFormatter
+    assert ours == [p.format_help() for p in parsers]
+    assert len(ours) == 4
+
+
+def test_help_width_follows_columns(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "60")
+    narrow = _help_texts()[0][3]
+    monkeypatch.setenv("COLUMNS", "200")
+    wide = _help_texts()[0][3]
+    assert max(map(len, narrow.splitlines())) <= 58 < max(map(len, wide.splitlines()))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import importlib.util
 
+import pytest
+
 
 def load_script(repo_root, name):
     spec = importlib.util.spec_from_file_location(
@@ -23,3 +25,15 @@ def test_gamma_census_verifies_the_valuation_identity(repo_root, capsys):
     census = load_script(repo_root, "gamma_census")
     assert census.main([str(repo_root / "corpus" / "fields.csv"), "--verify"]) == 0
     assert "valuation identity: 13 checks, 0 failures" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "target, summary",
+    [
+        (32009, "10 generators, 3 distinct splitting fingerprints"),
+        (-3299, "42 generators, 4 distinct splitting fingerprints"),
+    ],
+)
+def test_find_disc_siblings_counts_generators_and_fingerprints(repo_root, capsys, target, summary):
+    assert load_script(repo_root, "find_disc_siblings").main(["--target", str(target)]) == 0
+    assert summary in capsys.readouterr().out.splitlines()
