@@ -12,6 +12,7 @@ record failed), 2 unparseable or ill-formed input, 3 reducible polynomial,
 
 import argparse
 import functools
+import gc
 import json
 import os
 import re
@@ -497,5 +498,13 @@ def main(argv=None):
     return args.func(args)
 
 
+def entry():
+    """The console script: main(), then gc.freeze(), so that interpreter
+    teardown does not walk every object that site and the imports made."""
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -3,11 +3,14 @@
 Polynomials over F_p are plain tuples of ints in [0, p), lowest degree
 first, () meaning zero. Factorization is squarefree decomposition and
 distinct-degree splitting (degree_blocks), then Cantor-Zassenhaus
-equal-degree splitting (split_blocks). factor_degrees stops after the
-distinct-degree step and is deterministic; the only randomness is the
-equal-degree step, a random.Random seeded by the repr of (p, coeffs), which
-random hashes with SHA-512: identical calls take identical paths on every
-platform, and as split_blocks sorts its output, the seed never changes it.
+equal-degree splitting (split_blocks); both take their powers in F_p[x]/(g)
+from pow_mod, which packs a residue into one int (Kronecker substitution)
+so that each product is one integer multiplication. factor_degrees stops
+after the distinct-degree step and is deterministic; the only randomness is
+the equal-degree step, a random.Random seeded by the repr of (p, coeffs),
+which random hashes with SHA-512: identical calls take identical paths on
+every platform, and as split_blocks sorts its output, the seed never
+changes it.
 
 norm, add, sub, scal, mul and divmod_p are also valid modulo any integer
 m >= 2: they only reduce mod m, and divmod_p inverts the divisor's leading
@@ -121,18 +124,44 @@ def gcd_p(a, b, p):
 
 
 def pow_mod(base, e, modulus, p):
-    """base^e mod modulus over F_p, left to right over the bits of e: each
-    step squares, multiplies by base on a 1 bit and reduces once."""
+    """base^e mod modulus over F_p, left to right over the bits of e, by
+    Kronecker substitution: a residue mod g = modulus (degree n >= 2) is one
+    int with w = (2n*p^2).bit_length() bits per coefficient, so a square or
+    a product with base is one integer multiplication, and a product with
+    base = x is a shift by w. Reduction adds the packed rows x^k mod g
+    (k = n .. 2n-2) scaled by the high slots mod p, then takes the n low
+    slots mod p. A product's slot is below n*p^2 and a folded one below
+    (2n-1)*p^2 < 2^w, so no slot carries into the next."""
     if e == 0:
         return (1,)
     base = mod_p(base, modulus, p)
-    h = base
+    n = deg(modulus)
+    if n < 2:
+        return norm([pow(c, e, p) for c in base], p)
+    w = (2 * n * p * p).bit_length()
+    mask = (1 << w) - 1
+    low = (1 << n * w) - 1
+    slots = range(n * w - w, -1, -w)
+
+    def pack(cs):
+        return sum(c << i * w for i, c in enumerate(cs))
+
+    def fold(h, rows):
+        for shift, row in rows:
+            h += (h >> shift & mask) % p * row
+        h &= low
+        out = 0
+        for i in slots:
+            out = out << w | (h >> i & mask) % p
+        return out
+
+    rows = [(k * w, pack(mod_p((0,) * k + (1,), modulus, p))) for k in range(n, 2 * n - 1)]
+    h = b = pack(base)
     for bit in bin(e)[3:]:
-        h = _product(h, h)
+        h = fold(h * h, rows)
         if bit == "1":
-            h = _product(h, base)
-        h = mod_p(h, modulus, p)
-    return h
+            h = fold(h << w, rows[:1]) if base == (0, 1) else fold(h * b, rows)
+    return norm([h >> i * w & mask for i in range(n)], p)
 
 
 def derivative(a, p):
@@ -221,7 +250,7 @@ def equal_degree(f, d, p, rng):
                 t = a
                 acc = a
                 for _ in range(d - 1):
-                    t = mod_p(mul(t, t, p), f, p)
+                    t = pow_mod(t, 2, f, p)
                     acc = add(acc, t, p)
                 b = acc
             else:

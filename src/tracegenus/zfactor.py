@@ -1,11 +1,13 @@
 """Factorization in Z[x]: Yun squarefree split, degree analysis, quadratic
 Hensel lifting of a mod-p factorization above the Mignotte bound, and
 Zassenhaus subset recombination. Degree analysis reads the mod-p factor
-degrees at up to 5 good primes; when no proper factor degree is allowed by
+degrees at up to 5 good primes, tried from 2 up (at 2 distinct-degree
+splitting costs almost nothing); when no proper factor degree is allowed by
 all of them, f is irreducible and nothing is lifted. Otherwise the lift runs
-at the good prime with the fewest local factors. Non-monic input is routed
-through the classical monicizing substitution F(x) = lc^(deg-1) * f(x/lc).
-The lift and the recombination use modp's arithmetic modulo p^(2^k).
+at the good prime with the fewest local factors, the first on a tie.
+Non-monic input is routed through the classical monicizing substitution
+F(x) = lc^(deg-1) * f(x/lc). The lift and the recombination use modp's
+arithmetic modulo p^(2^k).
 """
 
 from itertools import chain, combinations, count
@@ -16,7 +18,7 @@ from .arith import is_prime
 from .errors import DegenerateInputError, InternalConsistencyError
 from .polys import IntPoly, exact_quotient, poly_gcd
 
-_LIFT_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
+_LIFT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
 
 
 def yun_squarefree(f):

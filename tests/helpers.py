@@ -343,3 +343,25 @@ def quadratic_is_irreducible(b, c):
     while (r + 1) * (r + 1) <= d:
         r += 1
     return r * r != d
+
+
+# ---------------------------------------------------------------------------
+# powers in F_p[x]/(g) by schoolbook square-and-multiply
+
+
+def schoolbook_pow_mod(base, e, modulus, p):
+    """base^e mod modulus over F_p, left to right over the bits of e: each
+    step squares, multiplies by base on a 1 bit and reduces once, on
+    coefficient lists. modp.pow_mod must agree with it bit for bit."""
+    from tracegenus import modp
+
+    if e == 0:
+        return (1,)
+    base = modp.mod_p(base, modulus, p)
+    h = base
+    for bit in bin(e)[3:]:
+        h = modp._product(h, h)
+        if bit == "1":
+            h = modp._product(h, base)
+        h = modp.mod_p(h, modulus, p)
+    return h

@@ -6,6 +6,7 @@ importing and running the CLI loads.
 """
 
 import argparse
+import gc
 import json
 import os
 import shutil
@@ -732,6 +733,28 @@ def test_prune_error_is_a_meta_warning(capsys, tmp_path):
 
 # ---------------------------------------------------------------------------
 # console script
+
+
+def test_module_run_freezes_gc_only_after_main(repo_root, capsys, tmp_path):
+    # `python -m tracegenus.cli` runs entry(): main(), gc.freeze(), then
+    # sys.exit with main's status; the piped JSON still arrives whole
+    def module_run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "tracegenus.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            cwd=repo_root,
+            env={**os.environ, "PYTHONPATH": str(repo_root / "src")},
+        )
+
+    proc = module_run("scan", "corpus/fields.csv", "--pairs")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["count"] == 60
+    assert module_run("analyze", "x^2 - 1").returncode == cli.EXIT_REDUCIBLE
+    # in-process callers keep a collectable heap
+    assert run_cli(capsys, "analyze", KLEIN_A, "--cache-dir", str(tmp_path / "c"))[0] == 0
+    assert gc.get_freeze_count() == 0
 
 
 def test_console_script(tmp_path):

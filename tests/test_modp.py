@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import schoolbook_pow_mod
 from tracegenus import modp
 from tracegenus.errors import DegenerateInputError, InvalidPrimeError
 from tracegenus.polys import parse_poly
@@ -117,6 +118,39 @@ def test_pow_mod_adds_exponents(d, seed, p, e):
         assert lhs == rhs
 
 
+# 2^70 - 35, the largest prime below 2^70
+PRIME_BELOW_2_70 = 2**70 - 35
+KERNEL_PRIMES = [2, 3, 5, 7, 2557, 1000003, 10**12 + 39, 10**20 + 39]
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_pow_mod_matches_the_schoolbook_loop(p):
+    # moduli of degree 0-9 with a random nonzero leading coefficient, bases
+    # up to 4 coefficients longer, x itself, and the exponents the factoring
+    # takes: Frobenius p, the Cantor-Zassenhaus (p^d - 1)/2 and random ones
+    rng = random.Random(p)
+    for _ in range(30):
+        n = rng.randrange(10)
+        modulus = tuple(rng.randrange(p) for _ in range(n)) + (rng.randrange(1, p),)
+        long_base = modp.norm([rng.randrange(p) for _ in range(n + rng.randrange(1, 5))], p)
+        for base in (long_base, (0, 1)):
+            for e in (0, 1, 2, p, (p ** max(n, 1) - 1) // 2, rng.randrange(10**7)):
+                assert modp.pow_mod(base, e, modulus, p) == schoolbook_pow_mod(base, e, modulus, p)
+
+
+def test_pow_mod_at_the_slot_bound():
+    # degree 8, every coefficient p - 1: squaring the base (p - 1,) * 8 puts
+    # n*(p - 1)^2, the most a product slot holds, in slot 7. The base
+    # (p - 21,) * 8 leaves slot 7 near 8*p^2 and its high slots 441*(15 - k)
+    # mod p, so the fold lifts slot 7 past 2^(w - 1): one bit less of slot
+    # width than (2n*p^2).bit_length() would carry into slot 8
+    p = PRIME_BELOW_2_70
+    modulus = (p - 1,) * 9
+    for base in ((p - 1,) * 8, (p - 21,) * 8, (p - 1,) * 12, (0, 1)):
+        for e in (2, 3, p, p**2 - 1, 2**70 - 1):
+            assert modp.pow_mod(base, e, modulus, p) == schoolbook_pow_mod(base, e, modulus, p)
+
+
 # ---------------------------------------------------------------------------
 # factorization over F_p
 
@@ -143,6 +177,19 @@ def test_factor_degrees_of_inseparable_inputs(da, db, seed, p):
     f = modp.mul(gxp, random_tuple_poly(p, db, seed + 1), p) if db else gxp
     f = modp.to_intpoly(f)
     assert modp.factor_degrees(f, p) == shape_of(f, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_factor_degrees_counts_roots(p):
+    # each squarefree part has as many linear factors as roots in F_p
+    rng = random.Random(p)
+    for _ in range(30):
+        a = random_tuple_poly(p, rng.randint(1, 5), rng.randrange(2**30))
+        b = random_tuple_poly(p, rng.randint(1, 3), rng.randrange(2**30))
+        for g, _ in modp.squarefree_decomposition(modp.mul(modp.mul(a, b, p), b, p), p):
+            linear = sum(d == 1 for d, _ in modp.factor_degrees(modp.to_intpoly(g), p))
+            roots = sum(sum(c * x**k for k, c in enumerate(g)) % p == 0 for x in range(p))
+            assert linear == roots
 
 
 def test_factor_degrees_errors():

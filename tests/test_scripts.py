@@ -37,3 +37,12 @@ def test_gamma_census_verifies_the_valuation_identity(repo_root, capsys):
 def test_find_disc_siblings_counts_generators_and_fingerprints(repo_root, capsys, target, summary):
     assert load_script(repo_root, "find_disc_siblings").main(["--target", str(target)]) == 0
     assert summary in capsys.readouterr().out.splitlines()
+
+
+def test_paired_fields_gives_equal_bytes_for_one_checkout_twice(repo_root, capsys):
+    paired = load_script(repo_root, "paired_fields")
+    argv = [str(repo_root), str(repo_root), "--workload", "corpus", "--repeats", "1"]
+    assert paired.main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "canonical bytes: identical on 60 fields" in out
+    assert [line.split()[0] for line in out[1:]] == ["A", "B", "B/A"]

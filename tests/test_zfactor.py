@@ -166,6 +166,34 @@ def test_dense_quintic_is_decided_without_a_lift(lifts):
     assert not lifts
 
 
+def test_irreducible_mod_2_is_decided_at_2_without_a_lift(monkeypatch):
+    # built as the hard-disc pool builds its fields: x^5 + x^2 + 1, which is
+    # irreducible mod 2, plus even coefficients; its shape at 2 allows no
+    # proper factor degree, so no other prime is tried and nothing is lifted
+    f = poly(-7, 4, 5, -6, 2, 1)
+    assert modp.factor_degrees(poly(1, 0, 1, 0, 0, 1), 2) == [(5, 1)]
+    assert modp.norm(f.coeffs, 2) == (1, 0, 1, 0, 0, 1)
+
+    def no_lift(*args):
+        raise AssertionError("lifted")
+
+    used = []
+    blocks = modp.degree_blocks
+    monkeypatch.setattr(modp, "degree_blocks", lambda g, p: used.append(p) or blocks(g, p))
+    monkeypatch.setattr(zfactor, "_lift_tree", no_lift)
+    assert factor_over_z(f) == (1, [(f, 1)])
+    assert used == [2]
+
+
+def test_fewest_local_factors_first_at_2_lifts_at_2(lifts):
+    # both factors stay irreducible mod 2, so 2 already has the fewest local
+    # factors any prime can have, and ties keep the first prime
+    a, b = poly(1, 1, 1), poly(1, 1, 0, 1)
+    assert modp.factor_degrees(a * b, 2) == [(2, 1), (3, 1)]
+    assert factor_over_z(a * b) == (1, [(a, 1), (b, 1)])
+    assert lifts and {args[2] for args in lifts} == {2}  # the tree and its halves
+
+
 def test_bad_at_every_lift_prime_falls_back_above_67(monkeypatch):
     n = 1
     for p in zfactor._LIFT_PRIMES:
