@@ -87,24 +87,30 @@ def cache_key(poly):
 
 
 def _consistent(doc, poly):
-    """Cheap invariants of a cached document: it is about poly, and its
-    disc factorization, with factors above 1 in strictly ascending order,
-    multiplies out to its disc. Primality of the factors is not checked."""
+    """Whether a cached document decodes, and cheap invariants hold on the
+    decoded values: it is about poly; its disc factorization, with factors
+    above 1 in strictly ascending order, multiplies out to its disc; and its
+    trace form has determinant disc and signature (r + s, s), as
+    analyze_field checks. Primality of the factors is not checked."""
     try:
-        disc = int(doc["disc"])
-        value = doc["disc_factorization"]["sign"]
-        if value not in (1, -1):
-            return False
+        fa = report.analysis_from_document(doc)
+        factored = fa.max_order.disc_factored
         last = 1
-        for p, e in doc["disc_factorization"]["factors"]:
+        for p, e in factored.factors:
             # p >= 2 divides disc at most bit_length times; this also keeps
             # an edited exponent from making p**e huge
-            if int(p) <= last or not 0 < e <= abs(disc).bit_length():
+            if p <= last or not 0 < e <= abs(fa.disc).bit_length():
                 return False
-            last = int(p)
-            value *= last ** e
-        return value == disc and doc["coefficients"] == [str(c) for c in poly.coeffs]
-    except (KeyError, TypeError, ValueError):
+            last = p
+        r, s = fa.signature
+        return (
+            doc["coefficients"] == [str(c) for c in poly.coeffs]  # as served
+            and factored.sign in (1, -1)
+            and factored.value() == fa.disc
+            and fa.trace_form.det == fa.disc
+            and fa.trace_form.signature == (r + s, s)
+        )
+    except (KeyError, TypeError, ValueError, OverflowError):
         return False
 
 

@@ -6,15 +6,24 @@ numerators) is serialized as a decimal string so that consumers with
 double-precision JSON parsers never silently round. Small structural counts
 (degrees, exponents, e_i, f_i, signature entries) stay JSON numbers.
 
+The codec table below is the format's only statement: one (document key,
+wire codec) entry per value of each type a document carries, read by the
+encoders, by `analysis_from_document` and by the renderers. Derived keys (g,
+residue_degree_sum, tame, homogeneous, unit_rep, passes, equal) name
+properties: they are written, never read back. Only the top level of an
+analysis document is spelled out in both directions, as its keys come from
+MaximalOrder and Order rather than from one tuple.
+
 The `meta` key is the non-canonical envelope (timing, cache notes); the
 canonical byte form of a document is the compact sorted-key dump with `meta`
 removed, and is what determinism guarantees cover.
 """
 
 import json
+from typing import NamedTuple
 
 from .arith import PrimeFactorization
-from .genus import NOT_APPLICABLE
+from .genus import NOT_APPLICABLE, AlphaRow, ComparisonResult, EquivalencePrediction
 from .orders import MaximalOrder, Order
 from .polys import IntPoly, poly_to_string
 from .splitting import SplittingType
@@ -32,129 +41,194 @@ SCAN_SCHEMA = "tracegenus/scan/v1"
 ERROR_SCHEMA = "tracegenus/error/v1"
 
 
-def _s(value):
-    return str(int(value))
+class _Codec(NamedTuple):
+    encode: object  # value -> JSON
+    decode: object  # JSON -> value
 
 
-def _splitting_doc(st):
-    return {
-        "p": _s(st.p),
-        "pairs": [[e, f] for e, f in st.pairs],
-        "g": st.g,
-        "residue_degree_sum": st.residue_degree_sum,
-        "tame": st.is_tame,
-        "homogeneous": st.is_homogeneous,
-    }
+_AS_IS = _Codec(lambda value: value, lambda item: item)
+_BIG = _Codec(lambda value: str(int(value)), int)  # a decimal string
 
 
-def _alpha_doc(a):
-    return {
-        "p": _s(a.p),
-        "representative": _s(a.representative),
-        "nonresidue": _s(a.nonresidue),
-        "unit_rep": _s(a.unit_rep),
-        "legendre": a.legendre,
-    }
+def _seq(codec):
+    """A list on the wire, a tuple in memory."""
+    encode, decode = codec
+    return _Codec(
+        lambda values: [encode(v) for v in values],
+        lambda items: tuple([decode(x) for x in items]),
+    )
 
 
-def _gamma_doc(g):
-    return {
-        "is_tame": g.is_tame,
-        "is_gamma": g.is_gamma,
-        "exceptional": None if g.exceptional is None else _s(g.exceptional),
-        "failing": [_s(p) for p in g.failing],
-        "tests": [
-            {
-                "p": _s(t.p),
-                "homogeneous": t.homogeneous,
-                "g_odd": t.g_odd,
-                "quotient_odd": t.quotient_odd,
-                "passes": t.passes,
-            }
-            for t in g.tests
-        ],
-    }
+def _row(*codecs):
+    """A list of fixed length with one codec per position."""
+    return _Codec(
+        lambda values: [c.encode(v) for c, v in zip(codecs, values)],
+        lambda items: tuple([c.decode(x) for c, x in zip(codecs, items, strict=True)]),
+    )
+
+
+def _optional(codec):
+    return _Codec(
+        lambda value: None if value is None else codec.encode(value),
+        lambda item: None if item is None else codec.decode(item),
+    )
+
+
+def _record(cls, *entries):
+    """A NamedTuple as a JSON object. Each entry is (key, codec) or (key,
+    codec, attribute); a key whose attribute is not one of cls._fields names
+    a property, so it is written but never read back."""
+    entries = [(key, codec, attr[0] if attr else key) for key, codec, *attr in entries]
+    read = [(attr, codec.decode, key) for key, codec, attr in entries if attr in cls._fields]
+    return _Codec(
+        lambda value: {key: codec.encode(getattr(value, attr)) for key, codec, attr in entries},
+        lambda item: cls(**{attr: decode(item[key]) for attr, decode, key in read}),
+    )
+
+
+_COUNTS = _seq(_AS_IS)
+_BIGS = _seq(_BIG)
+_BIG_MATRIX = _seq(_BIGS)
+
+_SPLITTINGS = _seq(_record(
+    SplittingType,
+    ("p", _BIG),
+    ("pairs", _seq(_row(_AS_IS, _AS_IS))),
+    ("g", _AS_IS),
+    ("residue_degree_sum", _AS_IS),
+    ("tame", _AS_IS, "is_tame"),
+    ("homogeneous", _AS_IS, "is_homogeneous"),
+))
+_ALPHAS = _seq(_record(
+    AlphaClass,
+    ("p", _BIG),
+    ("representative", _BIG),
+    ("nonresidue", _BIG),
+    ("unit_rep", _BIG),
+    ("legendre", _AS_IS),
+))
+_GAMMA = _record(
+    GammaClassification,
+    ("is_tame", _AS_IS),
+    ("is_gamma", _AS_IS),
+    ("exceptional", _optional(_BIG)),
+    ("failing", _BIGS),
+    ("tests", _seq(_record(
+        GammaTest,
+        ("p", _BIG),
+        ("homogeneous", _AS_IS),
+        ("g_odd", _AS_IS),
+        ("quotient_odd", _AS_IS),
+        ("passes", _AS_IS),
+    ))),
+)
+_TRACE_FORM = _record(
+    TraceForm,
+    ("gram", _BIG_MATRIX),
+    ("det", _BIG),
+    ("signature", _COUNTS),
+)
+_DISC_FACTORIZATION = _record(
+    PrimeFactorization,
+    ("sign", _AS_IS),
+    ("factors", _seq(_row(_BIG, _AS_IS))),
+)
+_ALPHA_ROWS = _seq(_record(
+    AlphaRow,
+    ("p", _BIG),
+    ("left", _AS_IS),
+    ("right", _AS_IS),
+    ("equal", _AS_IS),
+    ("informational", _AS_IS),
+))
+_COMPARISON = _record(
+    ComparisonResult,
+    ("verdict", _AS_IS),
+    ("reason", _AS_IS),
+    ("disc_equal", _AS_IS),
+    ("signature_equal", _AS_IS),
+    ("alpha", _ALPHA_ROWS, "alpha_rows"),
+)
+_PREDICTION = _record(
+    EquivalencePrediction,
+    ("applicable", _AS_IS),
+    ("reason", _AS_IS),
+    ("predicted_same", _AS_IS),
+    ("isometry_claim", _AS_IS),
+    ("exceptional_union", _BIGS),
+)
 
 
 def analysis_document(analysis, source_text):
     """Canonical AnalysisDocument for one FieldAnalysis."""
     mo = analysis.max_order
-    order = mo.order
-    sign = -1 if analysis.disc < 0 else 1
     return {
         "schema": ANALYSIS_SCHEMA,
         "input": source_text,
         "polynomial": poly_to_string(analysis.poly),
-        "coefficients": [_s(c) for c in analysis.poly.coeffs],
+        "coefficients": _BIGS.encode(analysis.poly.coeffs),
         "degree": analysis.degree,
-        "signature": list(analysis.signature),
-        "disc": _s(analysis.disc),
-        "disc_factorization": {
-            "sign": sign,
-            "factors": [[_s(p), e] for p, e in analysis.disc_factored],
-        },
-        "index": _s(analysis.index),
+        "signature": _COUNTS.encode(analysis.signature),
+        "disc": _BIG.encode(analysis.disc),
+        "disc_factorization": _DISC_FACTORIZATION.encode(mo.disc_factored),
+        "index": _BIG.encode(analysis.index),
         "basis": {
-            "denominator": _s(order.denom),
-            "matrix": [[_s(c) for c in row] for row in order.basis_num],
+            "denominator": _BIG.encode(mo.order.denom),
+            "matrix": _BIG_MATRIX.encode(mo.order.basis_num),
         },
-        "splittings": [_splitting_doc(st) for st in analysis.splittings],
-        "alphas": [_alpha_doc(a) for a in analysis.alphas],
-        "gamma": _gamma_doc(analysis.gamma),
-        "trace_form": {
-            "gram": [[_s(c) for c in row] for row in analysis.trace_form.gram],
-            "det": _s(analysis.trace_form.det),
-            "signature": list(analysis.trace_form.signature),
-        },
+        "splittings": _SPLITTINGS.encode(analysis.splittings),
+        "alphas": _ALPHAS.encode(analysis.alphas),
+        "gamma": _GAMMA.encode(analysis.gamma),
+        "trace_form": _TRACE_FORM.encode(analysis.trace_form),
     }
 
 
+def analysis_from_document(doc):
+    """The FieldAnalysis of a document: the inverse of analysis_document up
+    to the input echo, so that cached documents feed the comparators."""
+    poly = IntPoly(_BIGS.decode(doc["coefficients"]))
+    disc = _BIG.decode(doc["disc"])
+    index = _BIG.decode(doc["index"])
+    order = Order(
+        poly=poly,
+        basis_num=_BIG_MATRIX.decode(doc["basis"]["matrix"]),
+        denom=_BIG.decode(doc["basis"]["denominator"]),
+        disc=disc,
+    )
+    disc_factored = _DISC_FACTORIZATION.decode(doc["disc_factorization"])
+    return FieldAnalysis(
+        poly=poly,
+        degree=doc["degree"],
+        signature=_COUNTS.decode(doc["signature"]),
+        disc=disc,
+        disc_factored=disc_factored.factors,
+        index=index,
+        max_order=MaximalOrder(order=order, index=index, disc_factored=disc_factored),
+        splittings=_SPLITTINGS.decode(doc["splittings"]),
+        alphas=_ALPHAS.decode(doc["alphas"]),
+        gamma=_GAMMA.decode(doc["gamma"]),
+        trace_form=_TRACE_FORM.decode(doc["trace_form"]),
+    )
+
+
 def comparison_document(left_doc, right_doc, comparison, prediction, crossval):
-    doc = {
+    return {
         "schema": COMPARE_SCHEMA,
         "left": left_doc,
         "right": right_doc,
-        "comparison": {
-            "verdict": comparison.verdict,
-            "reason": comparison.reason,
-            "disc_equal": comparison.disc_equal,
-            "signature_equal": comparison.signature_equal,
-            "alpha": [
-                {
-                    "p": _s(r.p),
-                    "left": r.left,
-                    "right": r.right,
-                    "equal": r.equal,
-                    "informational": r.informational,
-                }
-                for r in comparison.alpha_rows
-            ],
-        },
-        "prediction": {
-            "applicable": prediction.applicable,
-            "reason": prediction.reason,
-            "predicted_same": prediction.predicted_same,
-            "isometry_claim": prediction.isometry_claim,
-            "exceptional_union": [_s(p) for p in prediction.exceptional_union],
-        },
+        "comparison": _COMPARISON.encode(comparison),
+        "prediction": _PREDICTION.encode(prediction),
         "cross_validation": None
         if crossval is None
         else {"consistent": crossval.consistent},
     }
-    return doc
 
 
 def error_document(exc, factors=None):
-    doc = {
-        "schema": ERROR_SCHEMA,
-        "error": {
-            "type": type(exc).__name__,
-            "message": str(exc),
-        },
-    }
+    error = {"type": type(exc).__name__, "message": str(exc)}
     if factors is not None:
-        doc["error"]["factors"] = [poly_to_string(g) for g in factors]
-    return doc
+        error["factors"] = [poly_to_string(g) for g in factors]
+    return {"schema": ERROR_SCHEMA, "error": error}
 
 
 def scan_document(records, summary):
@@ -168,80 +242,12 @@ def scan_document(records, summary):
     }
 
 
-def analysis_from_document(doc):
-    """Rebuild a FieldAnalysis from its document; inverse of
-    analysis_document up to the input echo. Lets cached documents feed the
-    comparators without recomputation."""
-    poly = IntPoly([int(c) for c in doc["coefficients"]])
-    disc = int(doc["disc"])
-    factors = tuple((int(p), e) for p, e in doc["disc_factorization"]["factors"])
-    order = Order(
-        poly=poly,
-        basis_num=tuple(tuple(int(c) for c in row) for row in doc["basis"]["matrix"]),
-        denom=int(doc["basis"]["denominator"]),
-        disc=disc,
-    )
-    mo = MaximalOrder(
-        order=order,
-        index=int(doc["index"]),
-        disc_factored=PrimeFactorization(doc["disc_factorization"]["sign"], factors),
-    )
-    splittings = tuple(
-        SplittingType(p=int(st["p"]), pairs=tuple((e, f) for e, f in st["pairs"]))
-        for st in doc["splittings"]
-    )
-    alphas = tuple(
-        AlphaClass(
-            p=int(a["p"]),
-            representative=int(a["representative"]),
-            nonresidue=int(a["nonresidue"]),
-            legendre=a["legendre"],
-        )
-        for a in doc["alphas"]
-    )
-    g = doc["gamma"]
-    gamma = GammaClassification(
-        is_tame=g["is_tame"],
-        is_gamma=g["is_gamma"],
-        exceptional=None if g["exceptional"] is None else int(g["exceptional"]),
-        failing=tuple(int(p) for p in g["failing"]),
-        tests=tuple(
-            GammaTest(
-                p=int(t["p"]),
-                homogeneous=t["homogeneous"],
-                g_odd=t["g_odd"],
-                quotient_odd=t["quotient_odd"],
-            )
-            for t in g["tests"]
-        ),
-    )
-    tf = TraceForm(
-        gram=tuple(tuple(int(c) for c in row) for row in doc["trace_form"]["gram"]),
-        det=int(doc["trace_form"]["det"]),
-        signature=tuple(doc["trace_form"]["signature"]),
-    )
-    return FieldAnalysis(
-        poly=poly,
-        degree=doc["degree"],
-        signature=tuple(doc["signature"]),
-        disc=disc,
-        disc_factored=factors,
-        index=int(doc["index"]),
-        max_order=mo,
-        splittings=splittings,
-        alphas=alphas,
-        gamma=gamma,
-        trace_form=tf,
-    )
-
-
 def canonical_bytes(doc):
     """The byte form covered by determinism guarantees: meta stripped,
     compact separators, sorted keys, trailing newline."""
     trimmed = {k: v for k, v in doc.items() if k != "meta"}
-    return (json.dumps(trimmed, sort_keys=True, separators=(",", ":")) + "\n").encode(
-        "ascii"
-    )
+    text = json.dumps(trimmed, sort_keys=True, separators=(",", ":"))
+    return (text + "\n").encode("ascii")
 
 
 def dump_pretty(doc):
@@ -250,89 +256,61 @@ def dump_pretty(doc):
 
 def _table(rows):
     widths = [max(len(str(cell)) for cell in col) for col in zip(*rows)]
-    lines = []
-    for i, row in enumerate(rows):
-        lines.append("  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip())
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
+    lines = ["  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows]
+    lines.insert(1, "  ".join("-" * w for w in widths))  # under the header
     return "\n".join(lines)
 
 
 def render_analysis(doc):
     """Human-readable rendering of an AnalysisDocument."""
-    g = doc["gamma"]
+    fa = analysis_from_document(doc)
+    g = fa.gamma
+    factors = " * ".join("%d^%d" % (p, e) if e > 1 else str(p) for p, e in fa.disc_factored)
+    exceptional = "" if g.exceptional is None else " (exceptional prime %d)" % g.exceptional
     lines = [
         "polynomial   %s" % doc["polynomial"],
-        "degree       %d" % doc["degree"],
-        "signature    (r, s) = (%d, %d)" % tuple(doc["signature"]),
-        "disc         %s = %s%s"
-        % (
-            doc["disc"],
-            "-" if doc["disc_factorization"]["sign"] < 0 else "",
-            " * ".join(
-                "%s^%d" % (p, e) if e > 1 else p
-                for p, e in doc["disc_factorization"]["factors"]
-            )
-            or "1",
-        ),
-        "index        %s" % doc["index"],
-        "tame         %s" % g["is_tame"],
-        "gamma        %s%s"
-        % (
-            g["is_gamma"],
-            "" if g["exceptional"] is None else " (exceptional prime %s)" % g["exceptional"],
-        ),
+        "degree       %d" % fa.degree,
+        "signature    (r, s) = (%d, %d)" % fa.signature,
+        "disc         %d = %s%s" % (fa.disc, "-" if fa.disc < 0 else "", factors or "1"),
+        "index        %d" % fa.index,
+        "tame         %s" % g.is_tame,
+        "gamma        %s%s" % (g.is_gamma, exceptional),
     ]
-    if doc["splittings"]:
+    if fa.splittings:
         rows = [("p", "pairs (e,f)", "g", "F", "tame", "alpha")]
-        alphas = {a["p"]: a for a in doc["alphas"]}
-        for st in doc["splittings"]:
-            a = alphas.get(st["p"])
-            rows.append(
-                (
-                    st["p"],
-                    " ".join("(%d,%d)" % (e, f) for e, f in st["pairs"]),
-                    st["g"],
-                    st["residue_degree_sum"],
-                    "yes" if st["tame"] else "no",
-                    "" if a is None else "%+d" % a["legendre"],
-                )
-            )
-        lines.append("")
-        lines.append(_table(rows))
-    lines.append("")
-    lines.append("trace form   det %s, signature %s" % (doc["trace_form"]["det"], tuple(doc["trace_form"]["signature"])))
+        for st in fa.splittings:
+            pairs = " ".join("(%d,%d)" % pair for pair in st.pairs)
+            a = fa.alpha_at(st.p)
+            alpha = "" if a is None else "%+d" % a.legendre
+            tame = "yes" if st.is_tame else "no"
+            rows.append((st.p, pairs, st.g, st.residue_degree_sum, tame, alpha))
+        lines += ["", _table(rows)]
+    tf = fa.trace_form
+    lines += ["", "trace form   det %d, signature %s" % (tf.det, tf.signature)]
     return "\n".join(lines) + "\n"
 
 
 def render_comparison(doc):
-    c = doc["comparison"]
-    p = doc["prediction"]
+    c = _COMPARISON.decode(doc["comparison"])
+    p = _PREDICTION.decode(doc["prediction"])
     lines = [
         "left         %s" % doc["left"]["polynomial"],
         "right        %s" % doc["right"]["polynomial"],
-        "verdict      %s%s" % (c["verdict"], "" if not c["reason"] else " (%s)" % c["reason"]),
+        "verdict      %s%s" % (c.verdict, "" if not c.reason else " (%s)" % c.reason),
     ]
-    if c["verdict"] != NOT_APPLICABLE:
-        lines.append("disc equal   %s" % c["disc_equal"])
-        lines.append("sig equal    %s" % c["signature_equal"])
-        if c["alpha"]:
+    if c.verdict != NOT_APPLICABLE:
+        lines.append("disc equal   %s" % c.disc_equal)
+        lines.append("sig equal    %s" % c.signature_equal)
+        if c.alpha_rows:
             rows = [("p", "left", "right", "equal")]
-            for r in c["alpha"]:
-                rows.append((r["p"], "%+d" % r["left"], "%+d" % r["right"], "yes" if r["equal"] else "NO"))
+            for r in c.alpha_rows:
+                rows.append((r.p, "%+d" % r.left, "%+d" % r.right, "yes" if r.equal else "NO"))
             lines.append(_table(rows))
-    lines.append(
-        "prediction   %s"
-        % (
-            "not applicable (%s)" % p["reason"]
-            if not p["applicable"]
-            else "same spinor genus: %s%s"
-            % (
-                p["predicted_same"],
-                ", isometry claimed" if p["isometry_claim"] else "",
-            )
-        )
-    )
+    if p.applicable:
+        claim = ", isometry claimed" if p.isometry_claim else ""
+        lines.append("prediction   same spinor genus: %s%s" % (p.predicted_same, claim))
+    else:
+        lines.append("prediction   not applicable (%s)" % p.reason)
     if doc["cross_validation"] is not None:
         lines.append("cross-check  consistent: %s" % doc["cross_validation"]["consistent"])
     return "\n".join(lines) + "\n"
@@ -350,14 +328,11 @@ def render_scan(doc):
             "exceptional  "
             + "  ".join("%s:%d" % (p, c) for p, c in s["exceptional_histogram"])
         )
-    if s.get("pairs") is not None:
+    pairs = s.get("pairs")
+    if pairs is not None:
         lines.append(
             "pairs        %d compared, %d consistent, %d inconsistent"
-            % (
-                s["pairs"]["compared"],
-                s["pairs"]["consistent"],
-                s["pairs"]["inconsistent"],
-            )
+            % (pairs["compared"], pairs["consistent"], pairs["inconsistent"])
         )
     failed = [r for r in doc["records"] if not r["ok"]]
     for r in failed:

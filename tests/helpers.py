@@ -365,3 +365,54 @@ def schoolbook_pow_mod(base, e, modulus, p):
             h = modp._product(h, base)
         h = modp.mod_p(h, modulus, p)
     return h
+
+
+# ---------------------------------------------------------------------------
+# odd-p Jordan decomposition of a Gram matrix over Z_(p)
+
+
+def _p_valuation(x, p):
+    num, den, v = x.numerator, x.denominator, 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def jordan_symbol(gram, p):
+    """{k: (dimension, Legendre symbol of the unit part's determinant)} of the
+    p^k-modular Jordan constituents of an integral symmetric nondegenerate
+    Gram matrix, for an odd prime p (Conway-Sloane, SPLAG, ch. 15 §7).
+    Diagonalizes over Z_(p) with exact Fractions: each step pivots on an
+    entry of least p-valuation, and when only an off-diagonal (i, j) has it,
+    first adds e_j to e_i, which gives the diagonal that valuation as p is
+    odd. Every multiplier is then p-integral, so the pivots are the
+    constituents' scales times units."""
+    m = [[Fraction(x) for x in row] for row in gram]
+    symbol = {}
+    while m:
+        n = len(m)
+        v, i, j = min(
+            (_p_valuation(m[a][b], p), a, b) for a in range(n) for b in range(a, n) if m[a][b]
+        )
+        diagonal = [a for a in range(n) if m[a][a] and _p_valuation(m[a][a], p) == v]
+        if diagonal:
+            i = diagonal[0]
+        else:  # only off-diagonal entries reach v: add e_j to e_i
+            m[i] = [x + y for x, y in zip(m[i], m[j])]
+            for row in m:
+                row[i] += row[j]
+        pivot = m[i][i]
+        unit = pivot / Fraction(p) ** v
+        dim, sign = symbol.get(v, (0, 1))
+        euler = pow(unit.numerator * unit.denominator % p, (p - 1) // 2, p)
+        symbol[v] = (dim + 1, sign * (1 if euler == 1 else -1))
+        m = [
+            [m[a][b] - m[a][i] * m[i][b] / pivot for b in range(n) if b != i]
+            for a in range(n)
+            if a != i
+        ]
+    return symbol

@@ -138,6 +138,24 @@ def test_compare_human_output(capsys, tmp_path):
     assert "cross-check  consistent: True" in out
 
 
+@pytest.mark.parametrize(
+    "left, right, exit_code, digest",
+    [
+        (KLEIN_A, KLEIN_B, 1, "0a358c03032ddb262e68a595a5b28d749a084e47f40cce51ccce7d1dd9098a55"),
+        (PAIR_A, PAIR_B, 0, "15b57329e93b397f98fd49b7c772070d46b6fc11a4ae6a2a95b761c280a79bb9"),
+        ("x^2 + 1", "x^3 - 2", 4, "177903620aa303ca33bbd8c9aac248958675a935500e6a2eec8deb3f1e6646ac"),
+    ],
+)
+def test_compare_document_bytes_are_frozen(capsys, left, right, exit_code, digest):
+    # pins every byte of the comparison and prediction objects, which only
+    # the schema and the verdict would otherwise constrain
+    import hashlib
+
+    code, out, _ = run_cli(capsys, "compare", left, right, "--no-cache")
+    assert code == exit_code
+    assert hashlib.sha256(canonical_bytes(json.loads(out))).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # scan
 
@@ -641,6 +659,12 @@ def test_hand_edited_disc_is_rejected_and_recomputed(capsys, tmp_path):
         {"disc_factorization": {"sign": 1, "factors": [["5", 10**9]]}},
         {"disc_factorization": {"sign": 1, "factors": "5"}},
         {"disc": None},
+        # entries that do not decode
+        {"alphas": None},
+        {"gamma": {}},
+        # decoded trace forms that analyze_field would have refused
+        {"trace_form": {"gram": [["2", "1"], ["1", "3"]], "det": "7", "signature": [2, 0]}},
+        {"trace_form": {"gram": [["2", "1"], ["1", "3"]], "det": "5", "signature": [1, 1]}},
     ],
 )
 def test_inconsistent_cache_entry_warns_and_recomputes(capsys, tmp_path, changes):
@@ -650,6 +674,24 @@ def test_inconsistent_cache_entry_warns_and_recomputes(capsys, tmp_path, changes
     code, doc = analyze_json(capsys, "x^2 - 5", "--cache-dir", str(cache))
     assert code == 0
     assert doc["disc"] == "5" and doc["coefficients"] == ["-5", "0", "1"]
+    assert any("corrupt cache entry" in w for w in doc["meta"]["warnings"])
+
+
+def test_compare_through_an_entry_without_alphas(capsys, tmp_path):
+    # the entry keeps its disc and factors, so only decoding can reject it
+    cache = tmp_path / "cache"
+    left, right = "x^3 - x^2 - 52*x + 159", "x^3 - x^2 - 34*x - 24"
+    analyze_json(capsys, left, "--cache-dir", str(cache))
+    entry = cache / (cli.cache_key(parse_poly(left)) + ".json")
+    doc = json.loads(entry.read_text())
+    del doc["alphas"]
+    entry.write_text(json.dumps(doc))
+
+    code, out, _ = run_cli(capsys, "compare", left, right, "--cache-dir", str(cache))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["comparison"]["verdict"] == "same-spinor-genus"
+    assert doc["left"]["alphas"][0]["p"] == "32009"
     assert any("corrupt cache entry" in w for w in doc["meta"]["warnings"])
 
 

@@ -14,6 +14,7 @@ from helpers import (
     frac_det,
     frac_solve,
     is_eisenstein_at,
+    jordan_symbol,
     lattice_equal,
     lattice_member,
     power_sum_of_roots,
@@ -124,3 +125,21 @@ def test_irreducibility_certificates():
     assert quadratic_is_irreducible(0, -2)  # x^2 - 2
     assert not quadratic_is_irreducible(0, -4)  # x^2 - 4 = (x-2)(x+2)
     assert not quadratic_is_irreducible(-3, 2)  # (x-1)(x-2)
+
+
+def test_jordan_symbol_hand_values():
+    # diag(1, 3, 9) at 3: one constituent at each scale, all of unit part 1
+    assert jordan_symbol([[1, 0, 0], [0, 3, 0], [0, 0, 9]], 3) == {
+        0: (1, 1),
+        1: (1, 1),
+        2: (1, 1),
+    }
+    # diag(2, 5) at 5: unit part 2 is a nonresidue, 5 = 5 * 1
+    assert jordan_symbol([[2, 0], [0, 5]], 5) == {0: (1, -1), 1: (1, 1)}
+    # 3 times a hyperbolic plane: only off-diagonal pivots; its unit part
+    # has determinant -1, a nonresidue mod 3
+    assert jordan_symbol([[0, 3], [3, 0]], 3) == {1: (2, -1)}
+    # the same plane mod 7, where -1 is a nonresidue too, and mod 5, where
+    # it is a residue
+    assert jordan_symbol([[0, 1], [1, 0]], 7) == {0: (2, -1)}
+    assert jordan_symbol([[0, 1], [1, 0]], 5) == {0: (2, 1)}

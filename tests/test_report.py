@@ -6,11 +6,13 @@ suite actually loads.
 """
 
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
 from referencing import Registry, Resource
 
+from tracegenus.corpus import read_corpus
 from tracegenus.errors import ReducibleInputError
 from tracegenus.genus import compare_spinor_genus, cross_validate, predict_equivalence
 from tracegenus.polys import IntPoly, parse_poly
@@ -59,20 +61,21 @@ def _doc(corpus_analyses, corpus_texts, label):
 # round trip
 
 
-ROUND_TRIP_LABELS = [
-    "klein-quartic-a",
-    "klein-quartic-b",
-    "s4-quartic",
-    "d12-sextic",
-    "sextic-pair-a",
-    "cubic-32009-a",
+CORPUS_LABELS = [
+    r.label
+    for r in read_corpus(Path(__file__).resolve().parent.parent / "corpus" / "fields.csv")
 ]
 
 
-@pytest.mark.parametrize("label", ROUND_TRIP_LABELS)
+@pytest.mark.parametrize("label", CORPUS_LABELS)
 def test_round_trip_equals_original(corpus_analyses, corpus_texts, label):
+    # both directions: decoding gives the analysis back, and re-encoding the
+    # decoded analysis gives the same bytes, which pins every derived key
     fa = corpus_analyses[label]
-    assert analysis_from_document(_doc(corpus_analyses, corpus_texts, label)) == fa
+    doc = _doc(corpus_analyses, corpus_texts, label)
+    back = analysis_from_document(doc)
+    assert back == fa
+    assert canonical_bytes(analysis_document(back, corpus_texts[label])) == canonical_bytes(doc)
 
 
 def test_round_trip_preserves_named_parts(corpus_analyses, corpus_texts):

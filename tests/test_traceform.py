@@ -8,6 +8,7 @@ from helpers import (
     count_real_roots,
     frac_det,
     gram_by_products,
+    jordan_symbol,
     power_sum_of_roots,
 )
 from tracegenus.errors import InvalidPrimeError, OutOfDomainError, WildRamificationError
@@ -198,6 +199,53 @@ def test_alpha_rejects_bad_primes():
         alpha_invariant(SplittingType(p=2, pairs=((2, 1),)))
     with pytest.raises(WildRamificationError):
         alpha_invariant(SplittingType(p=3, pairs=((3, 1),)))
+
+
+# ---------------------------------------------------------------------------
+# alpha from the lattice side: odd-p Jordan symbols of the Gram matrix
+
+
+def test_alpha_is_the_unimodular_jordan_symbol(corpus_analyses):
+    # the scale-1 (p^0) constituent carries alpha; an empty one has symbol +1
+    checked = 0
+    for label, fa in corpus_analyses.items():
+        for a in fa.alphas:
+            assert jordan_symbol(fa.trace_form.gram, a.p).get(0, (0, 1))[1] == a.legendre, (
+                label,
+                a.p,
+            )
+            checked += 1
+    assert checked == 117
+
+
+def _odd_jordan_differences(left, right):
+    return [
+        p
+        for p, _ in left.disc_factored
+        if p != 2 and jordan_symbol(left.trace_form.gram, p) != jordan_symbol(right.trace_form.gram, p)
+    ]
+
+
+def test_klein_quartics_differ_in_jordan_symbol_where_alpha_does(corpus_analyses):
+    left, right = corpus_analyses["klein-quartic-a"], corpus_analyses["klein-quartic-b"]
+    assert left.disc == right.disc
+    assert _odd_jordan_differences(left, right) == [5, 13]
+    assert [a.p for a, b in zip(left.alphas, right.alphas) if a.legendre != b.legendre] == [5, 13]
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ("sextic-pair-a", "sextic-pair-b"),
+        ("cubic-32009-a", "cubic-32009-b"),
+        ("cubic-32009-a", "cubic-32009-c"),
+        ("cubic-32009-a", "cubic-32009-d"),
+    ],
+)
+def test_same_genus_pairs_share_odd_jordan_symbols(corpus_analyses, left, right):
+    fa, fb = corpus_analyses[left], corpus_analyses[right]
+    assert fa.disc == fb.disc
+    assert _odd_jordan_differences(fa, fb) == []
 
 
 # ---------------------------------------------------------------------------
