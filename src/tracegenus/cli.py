@@ -86,37 +86,15 @@ def cache_key(poly):
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
-def _consistent(doc, poly):
-    """Whether a cached document decodes, and cheap invariants hold on the
-    decoded values: it is about poly; its disc factorization, with factors
-    above 1 in strictly ascending order, multiplies out to its disc; and its
-    trace form has determinant disc and signature (r + s, s), as
-    analyze_field checks. Primality of the factors is not checked."""
-    try:
-        fa = report.analysis_from_document(doc)
-        factored = fa.max_order.disc_factored
-        last = 1
-        for p, e in factored.factors:
-            # p >= 2 divides disc at most bit_length times; this also keeps
-            # an edited exponent from making p**e huge
-            if p <= last or not 0 < e <= abs(fa.disc).bit_length():
-                return False
-            last = p
-        r, s = fa.signature
-        return (
-            doc["coefficients"] == [str(c) for c in poly.coeffs]  # as served
-            and factored.sign in (1, -1)
-            and factored.value() == fa.disc
-            and fa.trace_form.det == fa.disc
-            and fa.trace_form.signature == (r + s, s)
-        )
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return False
-
-
-def cache_load(cache_dir, key, poly):
-    """(document, warning): document None on miss; warning set when an entry
-    existed but was unusable and will be recomputed."""
+def cache_load(cache_dir, key, poly, text):
+    """((analysis, document), warning): None on a miss; the warning is set
+    when an entry existed but was unusable and will be recomputed. The entry
+    is decoded once. It is usable when it is about poly, its re-encoding
+    with text as the input echo (the document returned) equals it, and
+    cheap invariants hold: its disc factorization, with factors above 1 in
+    strictly ascending order, multiplies out to its disc, and its trace form
+    has determinant disc and signature (r + s, s), as analyze_field checks.
+    Primality of the factors is not checked."""
     path = os.path.join(cache_dir, key + ".json")
     try:
         with open(path, "rb") as fh:
@@ -125,13 +103,37 @@ def cache_load(cache_dir, key, poly):
         return None, None
     try:
         doc = json.loads(raw)
-    except ValueError:
+    except (ValueError, RecursionError):  # RecursionError: nested too deep
         return None, "corrupt cache entry %s ignored" % key
     if not isinstance(doc, dict) or doc.get("schema") != report.ANALYSIS_SCHEMA:
         return None, "stale cache entry %s ignored" % key
-    if not _consistent(doc, poly):
-        return None, "corrupt cache entry %s ignored" % key
-    return doc, None
+    try:
+        fa = report.analysis_from_document(doc)
+        factored = fa.max_order.disc_factored
+        last = 1
+        for p, e in factored.factors:
+            # p >= 2 divides disc at most bit_length times; this also keeps
+            # an edited exponent from making p**e huge
+            if p <= last or not 0 < e <= abs(fa.disc).bit_length():
+                raise ValueError
+            last = p
+        r, s = fa.signature
+        if (
+            fa.poly == poly
+            and factored.sign in (1, -1)
+            and factored.value() == fa.disc
+            and fa.trace_form.det == fa.disc
+            and fa.trace_form.signature == (r + s, s)
+        ):
+            # one comparison covers spelling, stray or missing keys and
+            # every derived key
+            document = report.analysis_document(fa, text)
+            doc["input"] = text
+            if document == doc:
+                return (fa, document), None
+    except (KeyError, TypeError, ValueError, ArithmeticError):
+        pass
+    return None, "corrupt cache entry %s ignored" % key
 
 
 def _write_atomic(cache_dir, name, data):
@@ -153,9 +155,8 @@ def _write_atomic(cache_dir, name, data):
 
 def cache_store(cache_dir, key, doc):
     """Atomic write (temp file then rename); returns a warning on failure."""
-    data = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
     try:
-        _write_atomic(cache_dir, key + ".json", data)
+        _write_atomic(cache_dir, key + ".json", report.canonical_bytes(doc))
     except OSError as exc:
         return "cache not writable (%s); proceeding uncached" % exc
     return None
@@ -184,31 +185,26 @@ def prune_cache(cache_dir):
 
 
 def analyze_text(text, cache_dir):
-    """(document, warnings), with no cache when cache_dir is None. Cache hits
-    skip all computation; the returned document is byte-for-byte the one a
-    fresh computation would produce."""
+    """(analysis, document, warnings) of one polynomial, with no cache when
+    cache_dir is None. A cache hit skips all computation: the analysis is the
+    entry decoded and the document its re-encoding with text as the input
+    echo, byte-for-byte the one a fresh computation produces."""
     warnings = []
     poly = parse_poly(text)
     if cache_dir is not None:
         key = cache_key(poly)
-        doc, warn = cache_load(cache_dir, key, poly)
+        hit, warn = cache_load(cache_dir, key, poly, text)
         if warn:
             warnings.append(warn)
-        if doc is not None:
-            if doc.get("input") != text:
-                # key is by coefficients, so another spelling of the same
-                # field can hit; re-stamp the echo so cached and fresh output
-                # stay byte-identical
-                doc = dict(doc)
-                doc["input"] = text
-            return doc, warnings
+        if hit is not None:
+            return (*hit, warnings)
     analysis = analyze_field(poly)
     doc = report.analysis_document(analysis, text)
     if cache_dir is not None:
         warn = cache_store(cache_dir, key, doc)
         if warn:
             warnings.append(warn)
-    return doc, warnings
+    return analysis, doc, warnings
 
 
 def _emit(doc, args, render):
@@ -237,10 +233,9 @@ def cmd_analyze(args):
     t0 = time.monotonic()
     cache_dir, warnings = open_cache(args)
     try:
-        doc, warns = analyze_text(args.polynomial, cache_dir)
+        _, doc, warns = analyze_text(args.polynomial, cache_dir)
     except (ParseError, NonMonicInputError, DegenerateInputError, ReducibleInputError) as exc:
         return _emit_input_error(exc, args)
-    doc = dict(doc)
     doc["meta"] = _meta(t0, warnings + warns)
     _emit(doc, args, report.render_analysis)
     return EXIT_OK
@@ -253,10 +248,10 @@ def cmd_compare(args):
     docs = []
     try:
         for text in (args.left, args.right):
-            doc, warns = analyze_text(text, cache_dir)
+            analysis, doc, warns = analyze_text(text, cache_dir)
             warnings.extend(warns)
+            analyses.append(analysis)
             docs.append(doc)
-            analyses.append(report.analysis_from_document(doc))
     except (ParseError, NonMonicInputError, DegenerateInputError, ReducibleInputError) as exc:
         return _emit_input_error(exc, args)
     comparison = compare_spinor_genus(*analyses)
@@ -278,7 +273,7 @@ def _scan_one(task):
     """Worker for scan: analyze one corpus record."""
     label, text, cache_dir = task
     try:
-        doc, warnings = analyze_text(text, cache_dir)
+        _, doc, warnings = analyze_text(text, cache_dir)
         record = {"label": label, "input": text, "ok": True, "analysis": doc}
     except TraceGenusError as exc:
         err = report.error_document(exc, factors=getattr(exc, "factors", None))
@@ -334,18 +329,19 @@ def _fan_out(fn, tasks, workers):
 
 
 def _pair_sweep(records):
-    """Cross-validate every applicable pair, bucketed by (disc, signature)."""
-    analyses = []
+    """Cross-validate every applicable pair, bucketed by (disc, signature);
+    only records that share a bucket are decoded."""
+    buckets = {}
     for r in records:
         if r["ok"]:
-            analyses.append((r["label"], report.analysis_from_document(r["analysis"])))
-    buckets = {}
-    for label, fa in analyses:
-        buckets.setdefault((fa.disc, fa.signature), []).append((label, fa))
+            doc = r["analysis"]
+            buckets.setdefault((int(doc["disc"]), tuple(doc["signature"])), []).append(r)
     details = []
     consistent = inconsistent = 0
-    for key in sorted(buckets, key=lambda k: (k[0], k[1])):
-        group = buckets[key]
+    for key in sorted(buckets):
+        if len(buckets[key]) < 2:
+            continue
+        group = [(r["label"], report.analysis_from_document(r["analysis"])) for r in buckets[key]]
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
                 la, fa = group[i]

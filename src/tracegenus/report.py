@@ -47,7 +47,7 @@ class _Codec(NamedTuple):
 
 
 _AS_IS = _Codec(lambda value: value, lambda item: item)
-_BIG = _Codec(lambda value: str(int(value)), int)  # a decimal string
+_BIG = _Codec(str, int)  # an int as a decimal string
 
 
 def _seq(codec):

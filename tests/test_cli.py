@@ -529,14 +529,15 @@ def test_corrupt_cache_entry_warns_then_recovers(capsys, tmp_path):
     _, _ = analyze_json(capsys, "x^2 - 5", "--cache-dir", str(cache))
     key = cli.cache_key(parse_poly("x^2 - 5"))
     entry = cache / (key + ".json")
-    entry.write_text("{not json at all")
-    code, doc = analyze_json(capsys, "x^2 - 5", "--cache-dir", str(cache))
-    assert code == 0
-    assert any("corrupt cache entry" in w for w in doc["meta"]["warnings"])
-    # the recomputation rewrote the entry, so the next run is clean
-    code, doc = analyze_json(capsys, "x^2 - 5", "--cache-dir", str(cache))
-    assert code == 0
-    assert "warnings" not in doc["meta"]
+    for content in ("{not json at all", "[" * 100000):  # the second nests too deep to parse
+        entry.write_text(content)
+        code, doc = analyze_json(capsys, "x^2 - 5", "--cache-dir", str(cache))
+        assert code == 0
+        assert any("corrupt cache entry" in w for w in doc["meta"]["warnings"])
+        # the recomputation rewrote the entry, so the next run is clean
+        code, doc = analyze_json(capsys, "x^2 - 5", "--cache-dir", str(cache))
+        assert code == 0
+        assert "warnings" not in doc["meta"]
 
 
 def test_stale_schema_entry_recomputed(capsys, tmp_path):
@@ -607,7 +608,7 @@ def test_cache_key_names_the_source(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "source_digest", lambda: "0" * 64)
     new_key = cli.cache_key(poly)
     assert new_key != old_key
-    assert cli.cache_load(str(cache), new_key, poly) == (None, None)
+    assert cli.cache_load(str(cache), new_key, poly, "x^2 - 5") == (None, None)
     computed = []
     analyze_field = cli.analyze_field
     monkeypatch.setattr(cli, "analyze_field", lambda f: computed.append(f) or analyze_field(f))
@@ -638,8 +639,8 @@ def test_hand_edited_disc_is_rejected_and_recomputed(capsys, tmp_path):
     cache = tmp_path / "cache"
     analyze_json(capsys, KLEIN_A, "--cache-dir", str(cache))
     poly = _edit_entry(cache, KLEIN_A, disc="7")  # factors still say 5^2 * 13^2 * 17^2
-    doc, warning = cli.cache_load(str(cache), cli.cache_key(poly), poly)
-    assert doc is None and "corrupt cache entry" in warning
+    hit, warning = cli.cache_load(str(cache), cli.cache_key(poly), poly, KLEIN_A)
+    assert hit is None and "corrupt cache entry" in warning
 
     code, out, _ = run_cli(capsys, "analyze", KLEIN_A, "--human", "--cache-dir", str(cache))
     assert code == 0
@@ -648,6 +649,11 @@ def test_hand_edited_disc_is_rejected_and_recomputed(capsys, tmp_path):
     # the recomputation replaced the entry
     code, doc = analyze_json(capsys, KLEIN_A, "--cache-dir", str(cache))
     assert doc["disc"] == "1221025" and "warnings" not in doc["meta"]
+
+
+_SPLITTING_AT_5 = {  # as the entry of x^2 - 5 holds it
+    "p": "5", "pairs": [[2, 1]], "g": 1, "residue_degree_sum": 1, "tame": True, "homogeneous": True
+}
 
 
 @pytest.mark.parametrize(
@@ -665,6 +671,15 @@ def test_hand_edited_disc_is_rejected_and_recomputed(capsys, tmp_path):
         # decoded trace forms that analyze_field would have refused
         {"trace_form": {"gram": [["2", "1"], ["1", "3"]], "det": "7", "signature": [2, 0]}},
         {"trace_form": {"gram": [["2", "1"], ["1", "3"]], "det": "5", "signature": [1, 1]}},
+        # values that decode and pass the arithmetic checks, but are not
+        # what a fresh run prints
+        {
+            "disc": "05",
+            "trace_form": {"gram": [["2", "1"], ["1", "3"]], "det": "+5", "signature": [2, 0]},
+        },
+        {"splittings": [_SPLITTING_AT_5 | {"tame": False}]},
+        # a derived key that cannot be computed from the stored values
+        {"splittings": [_SPLITTING_AT_5 | {"p": "0"}]},
     ],
 )
 def test_inconsistent_cache_entry_warns_and_recomputes(capsys, tmp_path, changes):
@@ -673,8 +688,9 @@ def test_inconsistent_cache_entry_warns_and_recomputes(capsys, tmp_path, changes
     _edit_entry(cache, "x^2 - 5", **changes)
     code, doc = analyze_json(capsys, "x^2 - 5", "--cache-dir", str(cache))
     assert code == 0
-    assert doc["disc"] == "5" and doc["coefficients"] == ["-5", "0", "1"]
     assert any("corrupt cache entry" in w for w in doc["meta"]["warnings"])
+    _, fresh = analyze_json(capsys, "x^2 - 5", "--no-cache")
+    assert canonical_bytes(doc) == canonical_bytes(fresh)
 
 
 def test_compare_through_an_entry_without_alphas(capsys, tmp_path):
@@ -695,6 +711,46 @@ def test_compare_through_an_entry_without_alphas(capsys, tmp_path):
     assert any("corrupt cache entry" in w for w in doc["meta"]["warnings"])
 
 
+def test_benchmark_counts_cache_load_outcomes(capsys, repo_root, tmp_path, monkeypatch):
+    # perfbench counts hits, misses and rejects from the (hit, warning) pair
+    # that cache_load returns; a change to that shape fails here
+    monkeypatch.syspath_prepend(str(repo_root / "perfbench"))
+    from tracer import _cache_outcome
+
+    cache, text = tmp_path / "cache", "x^2 - 5"
+    poly = parse_poly(text)
+    key = cli.cache_key(poly)
+    assert _cache_outcome(cli.cache_load(str(cache), key, poly, text)) == "misses"
+    analyze_json(capsys, text, "--cache-dir", str(cache))
+    result = cli.cache_load(str(cache), key, poly, text)
+    assert _cache_outcome(result) == "hits"
+    analysis = cli.analyze_field(poly)
+    assert result == ((analysis, cli.report.analysis_document(analysis, text)), None)
+    (cache / (key + ".json")).write_text("{")
+    assert _cache_outcome(cli.cache_load(str(cache), key, poly, text)) == "rejects"
+
+
+def test_each_document_is_decoded_at_most_once(capsys, repo_root, tmp_path, monkeypatch):
+    # a cache hit decodes its entry once and hands the analysis on; the pair
+    # sweep decodes only records whose (disc, signature) another one shares
+    decoded = []
+    decode = cli.report.analysis_from_document
+    monkeypatch.setattr(
+        cli.report, "analysis_from_document", lambda doc: decoded.append(doc) or decode(doc)
+    )
+
+    def decodes(cache, *argv):
+        decoded.clear()
+        assert run_cli(capsys, *argv, "--cache-dir", str(tmp_path / cache))[0] == 0
+        return len(decoded)
+
+    assert decodes("compare", "compare", PAIR_A, PAIR_B) == 0
+    assert decodes("compare", "compare", PAIR_A, PAIR_B) == 2
+    corpus = str(repo_root / "corpus" / "fields.csv")
+    assert decodes("scan", "scan", corpus, "--pairs") == 8
+    assert decodes("scan", "scan", corpus, "--pairs") == 60 + 8
+
+
 KLEIN_A_DISC = "disc         1221025 = 5^2 * 13^2 * 17^2\n"
 
 
@@ -712,8 +768,8 @@ def test_disc_factors_must_ascend_strictly_above_1(capsys, tmp_path, text, facto
     analyze_json(capsys, text, "--cache-dir", str(cache))
     poly = _edit_entry(cache, text, disc_factorization={"sign": 1, "factors": factors})
     # (None, warning) is what the cache counts as a reject
-    doc, warning = cli.cache_load(str(cache), cli.cache_key(poly), poly)
-    assert doc is None and "corrupt cache entry" in warning
+    hit, warning = cli.cache_load(str(cache), cli.cache_key(poly), poly, text)
+    assert hit is None and "corrupt cache entry" in warning
 
     code, out, _ = run_cli(capsys, "analyze", text, "--human", "--cache-dir", str(cache))
     assert code == 0 and line in out
