@@ -1,117 +1,83 @@
 """Integral trace forms of number fields: maximal orders, prime splitting,
-signature and discriminant invariants, and spinor-genus comparison."""
+signature and discriminant invariants, and spinor-genus comparison.
 
-from .arith import PrimeFactorization, factor_integer, is_prime, legendre, smallest_nonresidue
-from .errors import (
-    DegenerateInputError,
-    FactorizationLimitError,
-    InternalConsistencyError,
-    InvalidPrimeError,
-    NonMonicInputError,
-    OutOfDomainError,
-    ParseError,
-    ReducibleInputError,
-    SingularFormError,
-    TraceGenusError,
-    WildRamificationError,
-)
-from .genus import (
-    DIFFERENT,
-    NOT_APPLICABLE,
-    SAME,
-    AlphaRow,
-    ComparisonResult,
-    CrossValidation,
-    EquivalencePrediction,
-    compare_spinor_genus,
-    cross_validate,
-    predict_equivalence,
-)
-from .orders import (
-    MaximalOrder,
-    Order,
-    dedekind_is_pmaximal,
-    maximal_order,
-    pmaximalize,
-)
-from .polys import IntPoly, coeff_csv, discriminant, parse_poly, poly_to_string
-from .splitting import QuotientAlgebra, SplittingType, split_prime
-from .traceform import (
-    AlphaClass,
-    FieldAnalysis,
-    GammaClassification,
-    GammaTest,
-    TraceForm,
-    alpha_invariant,
-    alpha_matches_disc_formula,
-    analyze_field,
-    classify_gamma,
-    disc_square_class,
-    field_signature,
-    form_signature,
-    gram_matrix,
-    power_sums,
-    verify_alpha_formula,
-)
-from .zfactor import factor_over_z, is_irreducible
+The public names resolve on first use (PEP 562): `import tracegenus` loads
+no submodule, and `tracegenus.<name>` imports only the name's home module.
+The package stores no resolved value, so a patch of a home module's
+attribute shows through `tracegenus.<name>` and leaves nothing behind.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaClass",
-    "AlphaRow",
-    "ComparisonResult",
-    "CrossValidation",
-    "DIFFERENT",
-    "DegenerateInputError",
-    "EquivalencePrediction",
-    "FactorizationLimitError",
-    "FieldAnalysis",
-    "GammaClassification",
-    "GammaTest",
-    "IntPoly",
-    "InternalConsistencyError",
-    "InvalidPrimeError",
-    "MaximalOrder",
-    "NOT_APPLICABLE",
-    "NonMonicInputError",
-    "Order",
-    "OutOfDomainError",
-    "ParseError",
-    "PrimeFactorization",
-    "QuotientAlgebra",
-    "ReducibleInputError",
-    "SAME",
-    "SingularFormError",
-    "SplittingType",
-    "TraceForm",
-    "TraceGenusError",
-    "WildRamificationError",
-    "alpha_invariant",
-    "alpha_matches_disc_formula",
-    "analyze_field",
-    "classify_gamma",
-    "coeff_csv",
-    "compare_spinor_genus",
-    "cross_validate",
-    "dedekind_is_pmaximal",
-    "disc_square_class",
-    "discriminant",
-    "factor_integer",
-    "factor_over_z",
-    "field_signature",
-    "form_signature",
-    "gram_matrix",
-    "is_irreducible",
-    "is_prime",
-    "legendre",
-    "maximal_order",
-    "parse_poly",
-    "pmaximalize",
-    "poly_to_string",
-    "power_sums",
-    "predict_equivalence",
-    "smallest_nonresidue",
-    "split_prime",
-    "verify_alpha_formula",
-]
+_HOMES = {  # home module -> the public names it defines
+    "arith": ("PrimeFactorization", "factor_integer", "is_prime", "legendre", "smallest_nonresidue"),
+    "errors": (
+        "DegenerateInputError",
+        "FactorizationLimitError",
+        "InternalConsistencyError",
+        "InvalidPrimeError",
+        "NonMonicInputError",
+        "OutOfDomainError",
+        "ParseError",
+        "ReducibleInputError",
+        "SingularFormError",
+        "TraceGenusError",
+        "WildRamificationError",
+    ),
+    "genus": (
+        "DIFFERENT",
+        "NOT_APPLICABLE",
+        "SAME",
+        "AlphaRow",
+        "ComparisonResult",
+        "CrossValidation",
+        "EquivalencePrediction",
+        "compare_spinor_genus",
+        "cross_validate",
+        "predict_equivalence",
+    ),
+    "orders": (
+        "MaximalOrder",
+        "Order",
+        "QuotientAlgebra",
+        "dedekind_is_pmaximal",
+        "maximal_order",
+        "pmaximalize",
+    ),
+    "polys": ("IntPoly", "coeff_csv", "discriminant", "parse_poly", "poly_to_string"),
+    "splitting": ("SplittingType", "split_prime"),
+    "traceform": (
+        "AlphaClass",
+        "FieldAnalysis",
+        "GammaClassification",
+        "GammaTest",
+        "TraceForm",
+        "alpha_invariant",
+        "alpha_matches_disc_formula",
+        "analyze_field",
+        "classify_gamma",
+        "disc_square_class",
+        "field_signature",
+        "form_signature",
+        "gram_matrix",
+        "power_sums",
+        "verify_alpha_formula",
+    ),
+    "zfactor": ("factor_over_z", "is_irreducible"),
+}
+_HOME_OF = {name: home for home, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME_OF)
+
+
+def __getattr__(name):
+    try:
+        home = _HOME_OF[name]
+    except KeyError:  # `from tracegenus import modp` then imports the submodule
+        raise AttributeError("module %r has no attribute %r" % (__name__, name)) from None
+    # what `from .<home> import <name>` does
+    return getattr(__import__(home, globals(), None, (name,), 1), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -233,11 +233,11 @@ def cmd_analyze(args):
     t0 = time.monotonic()
     cache_dir, warnings = open_cache(args)
     try:
-        _, doc, warns = analyze_text(args.polynomial, cache_dir)
+        analysis, doc, warns = analyze_text(args.polynomial, cache_dir)
     except (ParseError, NonMonicInputError, DegenerateInputError, ReducibleInputError) as exc:
         return _emit_input_error(exc, args)
     doc["meta"] = _meta(t0, warnings + warns)
-    _emit(doc, args, report.render_analysis)
+    _emit(doc, args, lambda _: report.render_analysis(analysis))
     return EXIT_OK
 
 

@@ -50,6 +50,22 @@ _AS_IS = _Codec(lambda value: value, lambda item: item)
 _BIG = _Codec(str, int)  # an int as a decimal string
 
 
+def _exact(kind):
+    """A JSON value read back only as exactly `kind`: 2.0 is no int, and 1
+    is no bool, although both compare equal to what a fresh run writes."""
+
+    def decode(item):
+        if type(item) is not kind:
+            raise TypeError("expected %s, got %r" % (kind.__name__, item))
+        return item
+
+    return _Codec(lambda value: value, decode)
+
+
+_INT = _exact(int)  # a small count or sign, a JSON number
+_BOOL = _exact(bool)
+
+
 def _seq(codec):
     """A list on the wire, a tuple in memory."""
     encode, decode = codec
@@ -86,18 +102,18 @@ def _record(cls, *entries):
     )
 
 
-_COUNTS = _seq(_AS_IS)
+_COUNTS = _seq(_INT)
 _BIGS = _seq(_BIG)
 _BIG_MATRIX = _seq(_BIGS)
 
 _SPLITTINGS = _seq(_record(
     SplittingType,
     ("p", _BIG),
-    ("pairs", _seq(_row(_AS_IS, _AS_IS))),
-    ("g", _AS_IS),
-    ("residue_degree_sum", _AS_IS),
-    ("tame", _AS_IS, "is_tame"),
-    ("homogeneous", _AS_IS, "is_homogeneous"),
+    ("pairs", _seq(_row(_INT, _INT))),
+    ("g", _INT),
+    ("residue_degree_sum", _INT),
+    ("tame", _BOOL, "is_tame"),
+    ("homogeneous", _BOOL, "is_homogeneous"),
 ))
 _ALPHAS = _seq(_record(
     AlphaClass,
@@ -105,21 +121,21 @@ _ALPHAS = _seq(_record(
     ("representative", _BIG),
     ("nonresidue", _BIG),
     ("unit_rep", _BIG),
-    ("legendre", _AS_IS),
+    ("legendre", _INT),
 ))
 _GAMMA = _record(
     GammaClassification,
-    ("is_tame", _AS_IS),
-    ("is_gamma", _AS_IS),
+    ("is_tame", _BOOL),
+    ("is_gamma", _BOOL),
     ("exceptional", _optional(_BIG)),
     ("failing", _BIGS),
     ("tests", _seq(_record(
         GammaTest,
         ("p", _BIG),
-        ("homogeneous", _AS_IS),
-        ("g_odd", _AS_IS),
-        ("quotient_odd", _AS_IS),
-        ("passes", _AS_IS),
+        ("homogeneous", _BOOL),
+        ("g_odd", _BOOL),
+        ("quotient_odd", _BOOL),
+        ("passes", _BOOL),
     ))),
 )
 _TRACE_FORM = _record(
@@ -130,31 +146,31 @@ _TRACE_FORM = _record(
 )
 _DISC_FACTORIZATION = _record(
     PrimeFactorization,
-    ("sign", _AS_IS),
-    ("factors", _seq(_row(_BIG, _AS_IS))),
+    ("sign", _INT),
+    ("factors", _seq(_row(_BIG, _INT))),
 )
 _ALPHA_ROWS = _seq(_record(
     AlphaRow,
     ("p", _BIG),
-    ("left", _AS_IS),
-    ("right", _AS_IS),
-    ("equal", _AS_IS),
-    ("informational", _AS_IS),
+    ("left", _INT),
+    ("right", _INT),
+    ("equal", _BOOL),
+    ("informational", _BOOL),
 ))
 _COMPARISON = _record(
     ComparisonResult,
     ("verdict", _AS_IS),
     ("reason", _AS_IS),
-    ("disc_equal", _AS_IS),
-    ("signature_equal", _AS_IS),
+    ("disc_equal", _optional(_BOOL)),
+    ("signature_equal", _optional(_BOOL)),
     ("alpha", _ALPHA_ROWS, "alpha_rows"),
 )
 _PREDICTION = _record(
     EquivalencePrediction,
-    ("applicable", _AS_IS),
+    ("applicable", _BOOL),
     ("reason", _AS_IS),
-    ("predicted_same", _AS_IS),
-    ("isometry_claim", _AS_IS),
+    ("predicted_same", _optional(_BOOL)),
+    ("isometry_claim", _BOOL),
     ("exceptional_union", _BIGS),
 )
 
@@ -167,7 +183,7 @@ def analysis_document(analysis, source_text):
         "input": source_text,
         "polynomial": poly_to_string(analysis.poly),
         "coefficients": _BIGS.encode(analysis.poly.coeffs),
-        "degree": analysis.degree,
+        "degree": _INT.encode(analysis.degree),
         "signature": _COUNTS.encode(analysis.signature),
         "disc": _BIG.encode(analysis.disc),
         "disc_factorization": _DISC_FACTORIZATION.encode(mo.disc_factored),
@@ -198,7 +214,7 @@ def analysis_from_document(doc):
     disc_factored = _DISC_FACTORIZATION.decode(doc["disc_factorization"])
     return FieldAnalysis(
         poly=poly,
-        degree=doc["degree"],
+        degree=_INT.decode(doc["degree"]),
         signature=_COUNTS.decode(doc["signature"]),
         disc=disc,
         disc_factored=disc_factored.factors,
@@ -261,14 +277,13 @@ def _table(rows):
     return "\n".join(lines)
 
 
-def render_analysis(doc):
-    """Human-readable rendering of an AnalysisDocument."""
-    fa = analysis_from_document(doc)
+def render_analysis(fa):
+    """Human-readable rendering of a FieldAnalysis."""
     g = fa.gamma
     factors = " * ".join("%d^%d" % (p, e) if e > 1 else str(p) for p, e in fa.disc_factored)
     exceptional = "" if g.exceptional is None else " (exceptional prime %d)" % g.exceptional
     lines = [
-        "polynomial   %s" % doc["polynomial"],
+        "polynomial   %s" % poly_to_string(fa.poly),
         "degree       %d" % fa.degree,
         "signature    (r, s) = (%d, %d)" % fa.signature,
         "disc         %d = %s%s" % (fa.disc, "-" if fa.disc < 0 else "", factors or "1"),

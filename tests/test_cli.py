@@ -2,7 +2,7 @@
 
 Everything runs in-process through main(argv) so the suite stays fast; a few
 subprocess tests check the installed console script end to end and what
-importing and running the CLI loads.
+importing the package and running the CLI load.
 """
 
 import argparse
@@ -449,6 +449,67 @@ def test_parallel_scan_loads_no_pool_pickle_or_threads(repo_root):
     assert _loaded_by(scan, repo_root, watched, ["-S"]) == "[]"
 
 
+# the package namespace
+
+
+def _submodules():
+    package = os.path.dirname(cli.__file__)
+    return tuple(
+        "tracegenus." + name[:-3]
+        for name in os.listdir(package)
+        if name.endswith(".py") and name != "__init__.py"
+    )
+
+
+def test_package_import_loads_only_what_the_caller_reaches(repo_root):
+    assert _loaded_by("import tracegenus", repo_root, _submodules()) == "[]"
+    parse = "from tracegenus.polys import parse_poly\nparse_poly('x^2 - 5')"
+    loaded = "['tracegenus.errors', 'tracegenus.polys']"
+    assert _loaded_by(parse, repo_root, _submodules()) == loaded
+    # modp's seeded random.Random is not loaded for a parse
+    assert _loaded_by(parse, repo_root, ("random",), ["-S"]) == "[]"
+
+
+def test_every_public_name_resolves_to_its_home_module(repo_root):
+    # in a fresh process, so that the star import is what loads the modules
+    code = (
+        "import importlib, tracegenus\n"
+        "star = {}\n"
+        "exec('from tracegenus import *', star)\n"
+        "del star['__builtins__']\n"
+        "assert sorted(star) == tracegenus.__all__ and len(star) == 56, sorted(star)\n"
+        "for home, names in tracegenus._HOMES.items():\n"
+        "    module = importlib.import_module('tracegenus.' + home)\n"
+        "    for name in names:\n"
+        "        assert star[name] is getattr(tracegenus, name) is getattr(module, name)\n"
+        "        assert getattr(star[name], '__module__', module.__name__) == module.__name__\n"
+    )
+    assert _loaded_by(code, repo_root, ()) == "[]"
+
+
+def test_package_dir_lists_the_public_names_and_unknown_names_raise():
+    import tracegenus
+
+    assert set(tracegenus.__all__) <= set(dir(tracegenus))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        getattr(tracegenus, "no_such_name")
+    from tracegenus import modp  # no public name, so the submodule is imported
+
+    assert modp.__name__ == "tracegenus.modp"
+
+
+def test_patch_of_a_home_module_shows_through_the_package(monkeypatch):
+    import tracegenus
+    from tracegenus import arith
+
+    original = arith.factor_integer
+    monkeypatch.setattr(arith, "factor_integer", lambda n: None)
+    assert tracegenus.factor_integer is arith.factor_integer is not original
+    monkeypatch.undo()
+    assert tracegenus.factor_integer is original
+    assert "factor_integer" not in vars(tracegenus)
+
+
 def _help_texts():
     parser = cli.build_parser()
     parsers = [parser, *parser._subparsers._group_actions[0].choices.values()]
@@ -654,6 +715,14 @@ def test_hand_edited_disc_is_rejected_and_recomputed(capsys, tmp_path):
 _SPLITTING_AT_5 = {  # as the entry of x^2 - 5 holds it
     "p": "5", "pairs": [[2, 1]], "g": 1, "residue_degree_sum": 1, "tame": True, "homogeneous": True
 }
+_ALPHA_AT_5 = {"p": "5", "representative": "2", "nonresidue": "2", "unit_rep": "2", "legendre": -1}
+_GAMMA_OF_X2_5 = {
+    "is_tame": True,
+    "is_gamma": True,
+    "exceptional": None,
+    "failing": [],
+    "tests": [{"p": "5", "homogeneous": True, "g_odd": True, "quotient_odd": True, "passes": True}],
+}
 
 
 @pytest.mark.parametrize(
@@ -680,6 +749,15 @@ _SPLITTING_AT_5 = {  # as the entry of x^2 - 5 holds it
         {"splittings": [_SPLITTING_AT_5 | {"tame": False}]},
         # a derived key that cannot be computed from the stored values
         {"splittings": [_SPLITTING_AT_5 | {"p": "0"}]},
+        # counts and flags of another JSON type: equal in Python to what a
+        # fresh run holds, but not the bytes it prints
+        {"degree": 2.0},
+        {"signature": [2.0, 0]},
+        {"gamma": _GAMMA_OF_X2_5 | {"is_tame": 1}},
+        {"disc_factorization": {"sign": 1.0, "factors": [["5", 1]]}},
+        {"disc_factorization": {"sign": 1, "factors": [["5", 1.0]]}},
+        {"splittings": [_SPLITTING_AT_5 | {"pairs": [[2, True]]}]},
+        {"alphas": [_ALPHA_AT_5 | {"legendre": -1.0}]},
     ],
 )
 def test_inconsistent_cache_entry_warns_and_recomputes(capsys, tmp_path, changes):
@@ -744,6 +822,8 @@ def test_each_document_is_decoded_at_most_once(capsys, repo_root, tmp_path, monk
         assert run_cli(capsys, *argv, "--cache-dir", str(tmp_path / cache))[0] == 0
         return len(decoded)
 
+    assert decodes("analyze", "analyze", KLEIN_A, "--human") == 0
+    assert decodes("analyze", "analyze", KLEIN_A, "--human") == 1
     assert decodes("compare", "compare", PAIR_A, PAIR_B) == 0
     assert decodes("compare", "compare", PAIR_A, PAIR_B) == 2
     corpus = str(repo_root / "corpus" / "fields.csv")

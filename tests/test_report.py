@@ -325,8 +325,8 @@ def test_schema_rejects_unknown_verdict(validators, corpus_analyses, corpus_text
 # renderers
 
 
-def test_render_analysis_smoke(corpus_analyses, corpus_texts):
-    text = render_analysis(_doc(corpus_analyses, corpus_texts, "klein-quartic-a"))
+def test_render_analysis_smoke(corpus_analyses):
+    text = render_analysis(corpus_analyses["klein-quartic-a"])
     assert "x^4 - 41*x^2 + 144" in text
     assert "1221025" in text
     assert "pairs (e,f)" in text
