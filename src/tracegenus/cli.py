@@ -89,12 +89,13 @@ def cache_key(poly):
 def cache_load(cache_dir, key, poly, text):
     """((analysis, document), warning): None on a miss; the warning is set
     when an entry existed but was unusable and will be recomputed. The entry
-    is decoded once. It is usable when it is about poly, its re-encoding
-    with text as the input echo (the document returned) equals it, and
+    is decoded once. It is usable when it is about poly, its input echo is
+    a string, the canonical bytes of its re-encoding are the bytes read, and
     cheap invariants hold: its disc factorization, with factors above 1 in
     strictly ascending order, multiplies out to its disc, and its trace form
     has determinant disc and signature (r + s, s), as analyze_field checks.
-    Primality of the factors is not checked."""
+    Primality of the factors is not checked. The document returned is the
+    re-encoding with text as the input echo."""
     path = os.path.join(cache_dir, key + ".json")
     try:
         with open(path, "rb") as fh:
@@ -124,12 +125,13 @@ def cache_load(cache_dir, key, poly, text):
             and factored.value() == fa.disc
             and fa.trace_form.det == fa.disc
             and fa.trace_form.signature == (r + s, s)
+            and isinstance(doc["input"], str)
         ):
-            # one comparison covers spelling, stray or missing keys and
-            # every derived key
-            document = report.analysis_document(fa, text)
-            doc["input"] = text
-            if document == doc:
+            # one comparison of bytes covers spelling, JSON types, stray or
+            # missing keys and every derived key
+            document = report.analysis_document(fa, doc["input"])
+            if report.canonical_bytes(document) == raw:
+                document["input"] = text
                 return (fa, document), None
     except (KeyError, TypeError, ValueError, ArithmeticError):
         pass

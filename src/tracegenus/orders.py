@@ -148,35 +148,30 @@ def _multiply_in_order(table, x, y):
 
 
 class QuotientAlgebra(NamedTuple):
-    """A commutative F_p-algebra given by structure constants: O/pO of an
-    order O, or one derived from it by the splitting route (a quotient or an
-    idempotent component). Elements are coordinate lists mod p.
+    """The commutative F_p-algebra O/pO of an order O, given by structure
+    constants. Elements are coordinate lists mod p on the order's basis, so
+    basis element 0 (the order's row 0) is the unit.
 
     table[i][j] holds the coordinates of w_i * w_j, read mod p: Round 2 and
     split_prime pass the order's integer mult_table as it is, since mul
-    reduces every product. unit holds the coordinates of 1; None means basis
-    element 0, as for an order's basis, whose row 0 is the element 1.
+    reduces every product.
     """
 
     p: int
     dim: int
     table: tuple
-    unit: tuple = None
 
     def mul(self, a, b):
         p = self.p
         return [c % p for c in _multiply_in_order(self.table, a, b)]
 
     def one(self):
-        if self.unit is None:
-            return [1] + [0] * (self.dim - 1)
-        return list(self.unit)
+        return [1] + [0] * (self.dim - 1)
 
 
 def frobenius_matrix(alg):
-    """Rows of the F_p-linear map x -> x^p on the basis of a QuotientAlgebra
-    (O/pO, or a quotient or component algebra of the splitting route), by
-    square-and-multiply on the exponent p."""
+    """Rows of the F_p-linear map x -> x^p on the basis of a QuotientAlgebra,
+    by square-and-multiply on the exponent p."""
     p = alg.p
     rows = []
     for i in range(alg.dim):
@@ -234,11 +229,10 @@ def _require_field_poly(f):
         raise NonMonicInputError("defining polynomial must be nonconstant")
 
 
-def _radical_kernel(alg):
-    """Basis (mod p) of the nilradical of the algebra alg = O/pO, via
-    iterated Frobenius: kernel of x -> x^(p^k) with p^k >= dim."""
-    p, n = alg.p, alg.dim
-    frob = frobenius_matrix(alg)
+def _radical_kernel(frob, p):
+    """Basis (mod p) of the nilradical of O/pO from its Frobenius matrix
+    frob: the kernel of x -> x^(p^k) with p^k >= dim."""
+    n = len(frob)
     power = frob
     k = 1
     while p ** k < n:
@@ -281,7 +275,7 @@ def _round_two(order, p, disc_f):
     n = f.degree
     while True:
         table = mult_table(order)
-        radical = _radical_kernel(QuotientAlgebra(p=p, dim=n, table=table))
+        radical = _radical_kernel(frobenius_matrix(QuotientAlgebra(p=p, dim=n, table=table)), p)
         # ideal I_p: radical lifts plus p*O, as a lattice in O-coordinates
         ideal_rows = [list(v) for v in radical]
         ideal_rows.extend([p if i == j else 0 for j in range(n)] for i in range(n))

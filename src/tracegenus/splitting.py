@@ -4,13 +4,12 @@ For each prime p this computes the multiset of pairs (e_i, f_i): the
 ramification indices and residue degrees of the primes above p. When p does
 not divide the index of the equation order the factorization shape of the
 defining polynomial mod p already is the answer. Otherwise the artinian
-algebra A = O/pO is decomposed directly: nilradical by iterated Frobenius,
-semisimple quotient split into fields along its Frobenius-fixed subalgebra,
-and lifted idempotents to measure each local dimension e_i * f_i.
-
-Every algebra on this route is a QuotientAlgebra: A itself, the quotient
-A/N by the nilradical and each component eps*B of an idempotent eps get
-their own structure constants, built once from products in the parent.
+algebra A = O/pO is read through its Frobenius matrix, once: the fixed
+space ker(phi - 1) is the subalgebra F_p^g spanned by the primitive
+idempotents eps_i (Berlekamp's subalgebra, Cohen, GTM 138, 3.4 and 6.2), and
+the nilradical N is the kernel of a power of phi. Then e_i * f_i is the rank
+of eps_i * A and f_i = rank(eps_i * A) - rank(eps_i * N). A is the only
+algebra on this route; no quotient or component gets structure constants.
 """
 
 from typing import NamedTuple
@@ -69,41 +68,6 @@ def _shape_from_modp_factors(p, factors):
     return SplittingType(p=p, pairs=tuple(pairs))
 
 
-def _basis_vectors(n):
-    return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-
-
-def _reduce(v, rows, pivots, p):
-    """Eliminate v against reduced echelon rows mod p: returns the
-    coefficient taken at each pivot and the remainder."""
-    v = [c % p for c in v]
-    taken = []
-    for row, j in zip(rows, pivots):
-        c = v[j]
-        taken.append(c)
-        if c:
-            v = [(a - c * b) % p for a, b in zip(v, row)]
-    return taken, v
-
-
-def _lift(reps, u, p):
-    """sum u_i * reps_i: an element of a derived algebra, back in its parent."""
-    v = [0] * len(reps[0])
-    for c, rep in zip(u, reps):
-        if c:
-            v = [(a + c * b) % p for a, b in zip(v, rep)]
-    return v
-
-
-def _derived_algebra(alg, reps, coords, one):
-    """An algebra derived from alg (the quotient A/N or a component eps*B)
-    as a QuotientAlgebra with its own structure constants. reps represent
-    its basis in alg, coords maps an element of alg to coordinates on that
-    basis, and one is its unit in alg; the dim^2 products are made once."""
-    table = tuple(tuple(tuple(coords(alg.mul(a, b))) for b in reps) for a in reps)
-    return QuotientAlgebra(p=alg.p, dim=len(reps), table=table, unit=tuple(coords(one)))
-
-
 def _min_poly_mod_p(alg, vec):
     """Minimal polynomial of vec in the algebra, by echelon insertion of its
     powers. Returns low-to-high coefficient tuple, monic."""
@@ -138,77 +102,40 @@ def _min_poly_mod_p(alg, vec):
         power = alg.mul(power, vec)
 
 
-def _split_semisimple(alg):
-    """Field components of a semisimple commutative F_p-algebra.
-
-    Returns a list of (idempotent, f) with idempotent in algebra coordinates
-    and f the component's degree over F_p. Splits along eigenvalues of
-    Frobenius-fixed elements; every non-scalar fixed element has at least two
-    eigenvalues, so recursion always makes progress.
-    """
+def _primitive_idempotents(alg, fixed):
+    """Primitive idempotents of alg from a basis of its Frobenius-fixed
+    subalgebra, which is F_p^g: 1 is refined by the eigen-idempotents of
+    each basis vector until there are g of them. A fixed element's minimal
+    polynomial is a product of distinct linear factors, and the
+    eigen-idempotent of its root a is the Lagrange product over the other
+    roots b of (v - b)/(a - b)."""
     p = alg.p
-    frob = frobenius_matrix(alg)
-    fixed = [[(c - (1 if j == i else 0)) % p for j, c in enumerate(row)] for i, row in enumerate(frob)]
-    kernel = left_kernel_mod_p(fixed, p)
-    g = len(kernel)
-    if g == 0:  # pragma: no cover
-        raise InternalConsistencyError("semisimple algebra with no fixed points")
     one = alg.one()
-    if g == 1:
-        return [(one, alg.dim)]
-    # scalar multiples of 1 do not separate components; v is one of them
-    # exactly when (v, 1) has rank 1
-    splitter = next((v for v in kernel if len(rref_mod_p([v, one], p)[0]) == 2), None)
-    if splitter is None:  # pragma: no cover
-        raise InternalConsistencyError("fixed space of dimension >1 is all scalars")
-    mp = _min_poly_mod_p(alg, splitter)
-    roots = [
-        (modp.from_intpoly(fac, p), mult)
-        for fac, mult in modp.factor_mod_p(modp.to_intpoly(mp), p)
-    ]
-    components = []
-    for root_factor, mult in roots:
-        if mult != 1 or modp.deg(root_factor) != 1:  # pragma: no cover
-            raise InternalConsistencyError("fixed element minimal polynomial not split")
-        a = (-root_factor[0]) % p
-        # idempotent of the eigen-block: prod over other roots of (v-b)/(a-b)
-        eps = one
-        for other, _ in roots:
-            b = (-other[0]) % p
-            if b == a:
-                continue
-            shift = [(c - b * o) % p for c, o in zip(splitter, one)]
-            inv = pow((a - b) % p, -1, p)
-            shift = [(c * inv) % p for c in shift]
-            eps = alg.mul(eps, shift)
-        components.append(eps)
-    result = []
-    for eps in components:
-        # eps*B with unit eps, on the echelon rows of eps*B
-        rows, pivots = rref_mod_p([alg.mul(eps, e) for e in _basis_vectors(alg.dim)], p)
-
-        def coords(v):
-            taken, rest = _reduce(v, rows, pivots, p)
-            if any(rest):  # pragma: no cover
-                raise InternalConsistencyError("product left the idempotent component")
-            return taken
-
-        for sub_eps, f in _split_semisimple(_derived_algebra(alg, rows, coords, eps)):
-            result.append((_lift(rows, sub_eps, p), f))
-    return result
+    idempotents = [one]
+    for v in fixed:
+        if len(idempotents) == len(fixed):
+            break
+        roots = []
+        for fac, mult in modp.factor_mod_p(modp.to_intpoly(_min_poly_mod_p(alg, v)), p):
+            if mult != 1 or fac.degree != 1:  # pragma: no cover
+                raise InternalConsistencyError("fixed element minimal polynomial not split")
+            roots.append(-fac.coeffs[0] % p)
+        refined = []
+        for a in roots:
+            eig = one
+            for b in roots:
+                if b != a:
+                    inv = pow(a - b, -1, p)
+                    eig = alg.mul(eig, [(c - b * o) * inv % p for c, o in zip(v, one)])
+            refined.extend(q for q in (alg.mul(eps, eig) for eps in idempotents) if any(q))
+        idempotents = refined
+    if len(idempotents) != len(fixed):  # pragma: no cover
+        raise InternalConsistencyError("fixed subalgebra did not split into g idempotents")
+    return idempotents
 
 
-def _lift_idempotent(alg, e0):
-    """Hensel-lift an idempotent of A/N back to A = alg: e <- 3e^2 - 2e^3."""
-    p = alg.p
-    e = e0
-    for _ in range(2 * alg.dim + 4):
-        e2 = alg.mul(e, e)
-        if e2 == e:
-            return e
-        e3 = alg.mul(e2, e)
-        e = [(3 * a - 2 * b) % p for a, b in zip(e2, e3)]
-    raise InternalConsistencyError("idempotent lift did not stabilize")  # pragma: no cover
+def _rank(rows, p):
+    return len(rref_mod_p(rows, p)[0])
 
 
 def split_prime(max_order, p, method="auto"):
@@ -235,30 +162,24 @@ def split_prime(max_order, p, method="auto"):
     if method != "algebra" and max_order.index % p != 0:
         return _shape_from_modp_factors(p, modp.factor_degrees(f, p))
     alg = QuotientAlgebra(p=p, dim=n, table=mult_table(max_order.order))
-    # A/N on the unit vectors off the pivots of the nilradical's echelon basis
-    rad, pivots = rref_mod_p([list(r) for r in _radical_kernel(alg)], p)
-    free = [j for j in range(n) if j not in pivots]
-    basis = _basis_vectors(n)
-    reps = [basis[j] for j in free]
-
-    def coords(v):
-        rest = _reduce(v, rad, pivots, p)[1]
-        return [rest[j] for j in free]
-
-    semisimple = _derived_algebra(alg, reps, coords, alg.one())
-    components = _split_semisimple(semisimple)
-    if sum(fdeg for _, fdeg in components) != semisimple.dim:  # pragma: no cover
-        raise InternalConsistencyError("component degrees do not sum to quotient dim")
+    frob = frobenius_matrix(alg)
+    fixed = left_kernel_mod_p(
+        [[(c - (i == j)) % p for j, c in enumerate(row)] for i, row in enumerate(frob)], p
+    )
+    radical = _radical_kernel(frob, p)
+    basis = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
     pairs = []
     total = 0
-    for eps, fdeg in components:
-        lifted = _lift_idempotent(alg, _lift(reps, eps, p))
-        rank = len(rref_mod_p([alg.mul(lifted, e) for e in basis], p)[0])
-        e_i, rem = divmod(rank, fdeg)
+    for eps in _primitive_idempotents(alg, fixed):
+        # eps*A is the local factor, of dimension e*f; eps*A / eps*N is its
+        # residue field, of dimension f
+        local = _rank([alg.mul(eps, w) for w in basis], p)
+        fdeg = local - _rank([alg.mul(eps, r) for r in radical], p)
+        e_i, rem = divmod(local, fdeg)
         if rem:  # pragma: no cover
             raise InternalConsistencyError("local dimension not divisible by f")
         pairs.append((e_i, fdeg))
-        total += rank
+        total += local
     if total != n:  # pragma: no cover
         raise InternalConsistencyError("local dimensions do not sum to the degree")
     return SplittingType(p=p, pairs=tuple(sorted(pairs)))

@@ -185,6 +185,20 @@ def test_scan_pairs_summary(capsys, repo_root, tmp_path):
     assert detail["consistent"] is True
 
 
+def test_corpus_scan_bytes_are_frozen(capsys, repo_root):
+    # pins every byte of the 60 corpus analysis documents and the 7 compared
+    # pairs, on every Python version the tests run under
+    import hashlib
+
+    corpus = str(repo_root / "corpus" / "fields.csv")
+    code, out, _ = run_cli(capsys, "scan", corpus, "--pairs", "--no-cache")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["ok"], doc["summary"]["pairs"]["compared"]) == (60, 7)
+    digest = "6fcedeba5ec658d1d98b162eeff327a690da9bbfe3a61d44df458e19b642d9ef"
+    assert hashlib.sha256(canonical_bytes(doc)).hexdigest() == digest
+
+
 def test_scan_mixed_corpus_keeps_going(capsys, tmp_path):
     corpus = tmp_path / "mixed.csv"
     corpus.write_text(
@@ -692,8 +706,19 @@ def _edit_entry(cache, text, **changes):
     entry = cache / (cli.cache_key(poly) + ".json")
     doc = json.loads(entry.read_text())
     doc.update(changes)
-    entry.write_text(json.dumps(doc))
+    # canonical bytes, as cache_store writes them: only the changes differ
+    entry.write_bytes(canonical_bytes(doc))
     return poly
+
+
+def test_entry_rewritten_unchanged_is_still_a_hit(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    _, fresh = analyze_json(capsys, "x^2 - 5", "--cache-dir", str(cache))
+    poly = _edit_entry(cache, "x^2 - 5")
+    hit, warning = cli.cache_load(str(cache), cli.cache_key(poly), poly, "x^2  -  5")
+    assert warning is None
+    assert hit[1] == cli.report.analysis_document(hit[0], "x^2  -  5")
+    assert canonical_bytes(hit[1]) == canonical_bytes(fresh | {"input": "x^2  -  5"})
 
 
 def test_hand_edited_disc_is_rejected_and_recomputed(capsys, tmp_path):
@@ -758,6 +783,13 @@ _GAMMA_OF_X2_5 = {
         {"disc_factorization": {"sign": 1, "factors": [["5", 1.0]]}},
         {"splittings": [_SPLITTING_AT_5 | {"pairs": [[2, True]]}]},
         {"alphas": [_ALPHA_AT_5 | {"legendre": -1.0}]},
+        # write-only derived keys of another JSON type: never decoded, so
+        # only the bytes of the re-encoding see them
+        {"splittings": [_SPLITTING_AT_5 | {"g": 1.0}]},
+        {"splittings": [_SPLITTING_AT_5 | {"tame": 1}]},
+        {"gamma": _GAMMA_OF_X2_5 | {"tests": [_GAMMA_OF_X2_5["tests"][0] | {"passes": 1}]}},
+        # an input echo that is no text
+        {"input": ["x^2 - 5"]},
     ],
 )
 def test_inconsistent_cache_entry_warns_and_recomputes(capsys, tmp_path, changes):
@@ -769,6 +801,9 @@ def test_inconsistent_cache_entry_warns_and_recomputes(capsys, tmp_path, changes
     assert any("corrupt cache entry" in w for w in doc["meta"]["warnings"])
     _, fresh = analyze_json(capsys, "x^2 - 5", "--no-cache")
     assert canonical_bytes(doc) == canonical_bytes(fresh)
+    # the recomputation replaced the entry
+    entry = cache / (cli.cache_key(parse_poly("x^2 - 5")) + ".json")
+    assert entry.read_bytes() == canonical_bytes(fresh)
 
 
 def test_compare_through_an_entry_without_alphas(capsys, tmp_path):

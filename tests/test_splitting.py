@@ -1,10 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import is_squarefree_int, quadratic_splitting
-from tracegenus import modp, splitting
-from tracegenus.errors import InvalidPrimeError, OutOfDomainError, WildRamificationError
+from tracegenus import modp
+from tracegenus.errors import (
+    InvalidPrimeError,
+    OutOfDomainError,
+    ReducibleInputError,
+    WildRamificationError,
+)
+from tracegenus.linalg import left_kernel_mod_p
 from tracegenus.orders import QuotientAlgebra, frobenius_matrix, maximal_order, mult_table
 from tracegenus.polys import IntPoly, parse_poly
 from tracegenus.splitting import SplittingType, split_prime
@@ -13,7 +21,7 @@ SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
 # (polynomial, {p: pairs}): shapes verified by hand against the splitting data
 KNOWN_SPLITTINGS = [
-    ("x^4 - 41*x^2 + 144", {5: ((2, 2),), 13: ((2, 1), (2, 1)), 17: ((2, 2),)}),
+    ("x^4 - 41*x^2 + 144", {2: ((1, 1),) * 4, 5: ((2, 2),), 13: ((2, 1), (2, 1)), 17: ((2, 2),)}),
     ("x^4 - x^3 - 46*x^2 - 115*x - 35", {5: ((2, 1), (2, 1)), 13: ((2, 2),), 17: ((2, 2),)}),
     ("x^4 - x^3 - 7*x^2 + 11*x + 3", {59: ((4, 1),)}),
     ("x^6 - 2*x^5 + 3*x^4 - 9*x^3 + 8*x^2 - 7*x - 5", {3: ((2, 3),), 23: ((2, 1), (2, 2))}),
@@ -23,6 +31,10 @@ KNOWN_SPLITTINGS = [
     ("x^3 - 41*x - 95", {32009: ((1, 1), (2, 1)), 5: ((1, 1), (1, 1), (1, 1))}),
     ("x^3 - 2", {2: ((3, 1),), 3: ((3, 1),)}),
     ("x^4 + 1", {2: ((4, 1),), 17: ((1, 1), (1, 1), (1, 1), (1, 1))}),
+    # 2 divides the index of these three: four idempotents out of F_2, and
+    # components with mixed (e, f)
+    ("x^8 - 6*x^6 - 5*x^5 + 8", {2: ((1, 1), (1, 2), (5, 1))}),
+    ("x^5 + 22*x^3 + 25*x^2 + 16", {2: ((1, 1), (1, 2), (2, 1))}),
 ]
 
 
@@ -92,28 +104,42 @@ def test_routes_agree_on_corpus(corpus_analyses):
     assert checked > 60  # many ramified primes across the corpus
 
 
-def test_routes_agree_at_small_primes_on_corpus(corpus_analyses, monkeypatch):
-    # unramified primes included: the algebra route then recurses through
-    # component algebras whenever g >= 2, with no ramified prime to force it
-    derived = []
-    build = splitting._derived_algebra
-    monkeypatch.setattr(
-        splitting, "_derived_algebra", lambda *args: derived.append(build(*args)) or derived[-1]
-    )
+def test_routes_agree_at_small_primes_on_corpus(corpus_analyses):
+    # unramified primes included: the algebra route then refines 1 into g
+    # idempotents with no ramified prime to force it, and g is the dimension
+    # of the Frobenius-fixed subalgebra
     split_three_ways = 0
     for analysis in corpus_analyses.values():
-        if analysis.degree == 1:
+        mo = analysis.max_order
+        if mo.degree == 1:
             continue
         for p in SMALL_PRIMES:
-            algebra = split_prime(analysis.max_order, p, method="algebra")
-            assert algebra == split_prime(analysis.max_order, p)
+            algebra = split_prime(mo, p, method="algebra")
+            assert algebra == split_prime(mo, p)
+            frob = frobenius_matrix(QuotientAlgebra(p, mo.degree, mult_table(mo.order)))
+            shifted = [[(c - (i == j)) % p for j, c in enumerate(row)] for i, row in enumerate(frob)]
+            assert len(left_kernel_mod_p(shifted, p)) == algebra.g
             split_three_ways += algebra.g >= 3
     assert split_three_ways > 50
-    assert len(derived) > 500
-    for alg in derived:
-        one = alg.one()
-        for e in ([1 if j == i else 0 for j in range(alg.dim)] for i in range(alg.dim)):
-            assert alg.mul(one, e) == e and alg.mul(e, one) == e
+
+
+def test_routes_agree_on_random_fields():
+    # seeded monic fields of degree 3-6: the forced algebra route against
+    # the mod-p shape at every small or ramified prime prime to the index
+    rng = random.Random(19)
+    fields = checked = 0
+    while fields < 60:
+        f = IntPoly([rng.randint(-40, 40) for _ in range(rng.randint(3, 6))] + [1])
+        try:
+            mo = maximal_order(f)
+        except ReducibleInputError:
+            continue
+        fields += 1
+        primes = set(SMALL_PRIMES) | {q for q, _ in mo.disc_factored.factors}
+        for p in sorted(q for q in primes if mo.index % q):
+            assert split_prime(mo, p, method="algebra") == split_prime(mo, p, method="polynomial")
+            checked += 1
+    assert checked > 400
 
 
 def test_splitting_invariants_on_corpus(corpus_analyses):
