@@ -39,7 +39,6 @@ _HOMES = {  # home module -> the public names it defines
     "orders": (
         "MaximalOrder",
         "Order",
-        "QuotientAlgebra",
         "dedekind_is_pmaximal",
         "maximal_order",
         "pmaximalize",

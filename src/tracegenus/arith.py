@@ -248,21 +248,17 @@ def legendre(a, p):
     """Legendre symbol (a/p) in {-1, 0, 1}; p must be an odd prime."""
     if p == 2 or not is_prime(p):
         raise InvalidPrimeError("Legendre symbol needs an odd prime, got %r" % (p,))
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
+    # at an odd prime the Jacobi symbol is the Legendre symbol
+    return _jacobi(a, p)
 
 
 def smallest_nonresidue(p):
     """Least u >= 2 with (u/p) = -1; p must be an odd prime."""
     if p == 2 or not is_prime(p):
         raise InvalidPrimeError("nonresidue search needs an odd prime, got %r" % (p,))
-    # p is checked once; Euler's criterion then gives 1 for a residue and
-    # p - 1 for a nonresidue (the least nonresidue is below p)
-    half = (p - 1) // 2
+    # p is checked once; the least nonresidue is below p, so the symbol is
+    # never 0 on the way
     u = 2
-    while pow(u, half, p) == 1:
+    while _jacobi(u, p) == 1:
         u += 1
     return u

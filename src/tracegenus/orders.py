@@ -17,6 +17,7 @@ from typing import NamedTuple
 from . import modp
 from .arith import PrimeFactorization, factor_integer, is_prime
 from .errors import (
+    DegenerateInputError,
     InternalConsistencyError,
     InvalidPrimeError,
     NonMonicInputError,
@@ -97,10 +98,10 @@ def order_from_rows(f, rows, denom, disc_f):
     det = 1
     for i in range(n):
         det *= h[i][i]
-    index_sq, rem = divmod(denom ** n, det)
+    index, rem = divmod(denom ** n, det)
     if rem:  # pragma: no cover
         raise InternalConsistencyError("lattice does not contain Z[theta] scaled")
-    disc, rem = divmod(disc_f, index_sq * index_sq)
+    disc, rem = divmod(disc_f, index * index)
     if rem:  # pragma: no cover
         raise InternalConsistencyError("index squared does not divide disc(f)")
     return Order(poly=f, basis_num=tuple(tuple(r) for r in h), denom=denom, disc=disc)
@@ -147,43 +148,27 @@ def _multiply_in_order(table, x, y):
     return out
 
 
-class QuotientAlgebra(NamedTuple):
-    """The commutative F_p-algebra O/pO of an order O, given by structure
-    constants. Elements are coordinate lists mod p on the order's basis, so
-    basis element 0 (the order's row 0) is the unit.
-
-    table[i][j] holds the coordinates of w_i * w_j, read mod p: Round 2 and
-    split_prime pass the order's integer mult_table as it is, since mul
-    reduces every product.
-    """
-
-    p: int
-    dim: int
-    table: tuple
-
-    def mul(self, a, b):
-        p = self.p
-        return [c % p for c in _multiply_in_order(self.table, a, b)]
-
-    def one(self):
-        return [1] + [0] * (self.dim - 1)
+def _mul_mod_p(table, x, y, p):
+    """Product in O/pO: coordinate vectors x, y on the order's basis, whose
+    row 0 is the unit, multiplied by the integer table and reduced mod p."""
+    return [c % p for c in _multiply_in_order(table, x, y)]
 
 
-def frobenius_matrix(alg):
-    """Rows of the F_p-linear map x -> x^p on the basis of a QuotientAlgebra,
-    by square-and-multiply on the exponent p."""
-    p = alg.p
+def frobenius_matrix(table, p):
+    """Rows of the F_p-linear map x -> x^p on O/pO, for the order with
+    structure constants table, by square-and-multiply on the exponent p."""
+    n = len(table)
     rows = []
-    for i in range(alg.dim):
-        base = [1 if j == i else 0 for j in range(alg.dim)]
+    for i in range(n):
+        base = [1 if j == i else 0 for j in range(n)]
         result = None
         k = p
         while k:
             if k & 1:
-                result = base if result is None else alg.mul(result, base)
+                result = base if result is None else _mul_mod_p(table, result, base, p)
             k >>= 1
             if k:
-                base = alg.mul(base, base)
+                base = _mul_mod_p(table, base, base, p)
         rows.append(result)
     return rows
 
@@ -226,7 +211,7 @@ def _require_field_poly(f):
     if not f.is_monic:
         raise NonMonicInputError("defining polynomial must be monic: %s" % (f,))
     if f.degree < 1:
-        raise NonMonicInputError("defining polynomial must be nonconstant")
+        raise DegenerateInputError("defining polynomial must be nonconstant")
 
 
 def _radical_kernel(frob, p):
@@ -275,7 +260,7 @@ def _round_two(order, p, disc_f):
     n = f.degree
     while True:
         table = mult_table(order)
-        radical = _radical_kernel(frobenius_matrix(QuotientAlgebra(p=p, dim=n, table=table)), p)
+        radical = _radical_kernel(frobenius_matrix(table, p), p)
         # ideal I_p: radical lifts plus p*O, as a lattice in O-coordinates
         ideal_rows = [list(v) for v in radical]
         ideal_rows.extend([p if i == j else 0 for j in range(n)] for i in range(n))
@@ -325,11 +310,7 @@ def maximal_order(f):
             "polynomial is reducible: %s" % (f,),
             factors=[g for g, _ in factors],
         )
-    n = f.degree
     disc_f = discriminant(f)
-    if n == 1:
-        order = equation_order(f, disc_f)
-        return MaximalOrder(order=order, index=1, disc_factored=PrimeFactorization(1, ()))
     disc_fact = factor_integer(disc_f)
     square_primes = [p for p, e in disc_fact.factors if e >= 2]
     locals_ = [pmaximalize(f, p, disc_f) for p in square_primes]

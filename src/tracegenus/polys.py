@@ -158,9 +158,6 @@ def _coerce(v):
     raise TypeError("cannot coerce %r to IntPoly" % (v,))
 
 
-X = IntPoly([0, 1])
-
-
 # ---------------------------------------------------------------------------
 # parsing and printing
 

@@ -8,8 +8,9 @@ algebra A = O/pO is read through its Frobenius matrix, once: the fixed
 space ker(phi - 1) is the subalgebra F_p^g spanned by the primitive
 idempotents eps_i (Berlekamp's subalgebra, Cohen, GTM 138, 3.4 and 6.2), and
 the nilradical N is the kernel of a power of phi. Then e_i * f_i is the rank
-of eps_i * A and f_i = rank(eps_i * A) - rank(eps_i * N). A is the only
-algebra on this route; no quotient or component gets structure constants.
+of eps_i * A and f_i = rank(eps_i * A) - rank(eps_i * N). A is the order's
+integer mult_table read mod p; no quotient or component gets structure
+constants.
 """
 
 from typing import NamedTuple
@@ -23,7 +24,7 @@ from .errors import (
     WildRamificationError,
 )
 from .linalg import left_kernel_mod_p, rref_mod_p
-from .orders import QuotientAlgebra, _radical_kernel, frobenius_matrix, mult_table
+from .orders import _mul_mod_p, _radical_kernel, frobenius_matrix, mult_table
 
 
 class SplittingType(NamedTuple):
@@ -68,55 +69,28 @@ def _shape_from_modp_factors(p, factors):
     return SplittingType(p=p, pairs=tuple(pairs))
 
 
-def _min_poly_mod_p(alg, vec):
-    """Minimal polynomial of vec in the algebra, by echelon insertion of its
-    powers. Returns low-to-high coefficient tuple, monic."""
-    p = alg.p
-    echelon = {}
-    power = alg.one()
-    k = 0
-    while True:
-        v = list(power)
-        combo = [0] * (k + 1)
-        combo[k] = 1
-        for j in sorted(echelon):
-            c = v[j]
-            if c:
-                row, rcombo = echelon[j]
-                for t in range(len(v)):
-                    v[t] = (v[t] - c * row[t]) % p
-                for t, rc in enumerate(rcombo):
-                    combo[t] = (combo[t] - c * rc) % p
-        pivot = next((j for j, c in enumerate(v) if c % p), None)
-        if pivot is None:
-            inv_lead = pow(combo[k], -1, p) if combo[k] != 1 else 1
-            coeffs = [(c * inv_lead) % p for c in combo]
-            return modp.norm(coeffs, p)
-        inv = pow(v[pivot], -1, p)
-        v = [(c * inv) % p for c in v]
-        combo = [(c * inv) % p for c in combo] + [0]
-        echelon[pivot] = (v, combo[: k + 1])
-        k += 1
-        if k > alg.dim:  # pragma: no cover
-            raise InternalConsistencyError("minimal polynomial exceeded dimension")
-        power = alg.mul(power, vec)
-
-
-def _primitive_idempotents(alg, fixed):
-    """Primitive idempotents of alg from a basis of its Frobenius-fixed
-    subalgebra, which is F_p^g: 1 is refined by the eigen-idempotents of
-    each basis vector until there are g of them. A fixed element's minimal
-    polynomial is a product of distinct linear factors, and the
+def _primitive_idempotents(table, p, fixed):
+    """Primitive idempotents of O/pO, for the order with structure constants
+    table, from a basis of its Frobenius-fixed subalgebra, which is F_p^g:
+    1 is refined by the eigen-idempotents of each basis vector until there
+    are g of them. A fixed element v has degree at most g, so the first
+    left-kernel vector over the powers 1, v, ..., v^g is its monic minimal
+    polynomial (the rref's first free column is the least dependent power).
+    That polynomial is a product of distinct linear factors, and the
     eigen-idempotent of its root a is the Lagrange product over the other
     roots b of (v - b)/(a - b)."""
-    p = alg.p
-    one = alg.one()
+    g = len(fixed)
+    one = [1] + [0] * (len(table) - 1)
     idempotents = [one]
     for v in fixed:
-        if len(idempotents) == len(fixed):
+        if len(idempotents) == g:
             break
+        powers = [one]
+        for _ in range(g):
+            powers.append(_mul_mod_p(table, powers[-1], v, p))
+        min_poly = left_kernel_mod_p(powers, p)[0]
         roots = []
-        for fac, mult in modp.factor_mod_p(modp.to_intpoly(_min_poly_mod_p(alg, v)), p):
+        for fac, mult in modp.factor_mod_p(modp.to_intpoly(min_poly), p):
             if mult != 1 or fac.degree != 1:  # pragma: no cover
                 raise InternalConsistencyError("fixed element minimal polynomial not split")
             roots.append(-fac.coeffs[0] % p)
@@ -126,10 +100,11 @@ def _primitive_idempotents(alg, fixed):
             for b in roots:
                 if b != a:
                     inv = pow(a - b, -1, p)
-                    eig = alg.mul(eig, [(c - b * o) * inv % p for c, o in zip(v, one)])
-            refined.extend(q for q in (alg.mul(eps, eig) for eps in idempotents) if any(q))
+                    factor = [(c - b * o) * inv % p for c, o in zip(v, one)]
+                    eig = _mul_mod_p(table, eig, factor, p)
+            refined.extend(q for q in (_mul_mod_p(table, eps, eig, p) for eps in idempotents) if any(q))
         idempotents = refined
-    if len(idempotents) != len(fixed):  # pragma: no cover
+    if len(idempotents) != g:  # pragma: no cover
         raise InternalConsistencyError("fixed subalgebra did not split into g idempotents")
     return idempotents
 
@@ -153,16 +128,14 @@ def split_prime(max_order, p, method="auto"):
         raise ValueError("unknown method %r" % (method,))
     f = max_order.poly
     n = max_order.degree
-    if n == 1:
-        return SplittingType(p=p, pairs=((1, 1),))
     if method == "polynomial" and max_order.index % p == 0:
         raise OutOfDomainError(
             "mod-%d polynomial shape is unreliable: %d divides the index" % (p, p)
         )
     if method != "algebra" and max_order.index % p != 0:
         return _shape_from_modp_factors(p, modp.factor_degrees(f, p))
-    alg = QuotientAlgebra(p=p, dim=n, table=mult_table(max_order.order))
-    frob = frobenius_matrix(alg)
+    table = mult_table(max_order.order)
+    frob = frobenius_matrix(table, p)
     fixed = left_kernel_mod_p(
         [[(c - (i == j)) % p for j, c in enumerate(row)] for i, row in enumerate(frob)], p
     )
@@ -170,11 +143,11 @@ def split_prime(max_order, p, method="auto"):
     basis = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
     pairs = []
     total = 0
-    for eps in _primitive_idempotents(alg, fixed):
+    for eps in _primitive_idempotents(table, p, fixed):
         # eps*A is the local factor, of dimension e*f; eps*A / eps*N is its
         # residue field, of dimension f
-        local = _rank([alg.mul(eps, w) for w in basis], p)
-        fdeg = local - _rank([alg.mul(eps, r) for r in radical], p)
+        local = _rank([_mul_mod_p(table, eps, w, p) for w in basis], p)
+        fdeg = local - _rank([_mul_mod_p(table, eps, r, p) for r in radical], p)
         e_i, rem = divmod(local, fdeg)
         if rem:  # pragma: no cover
             raise InternalConsistencyError("local dimension not divisible by f")

@@ -90,6 +90,13 @@ def test_analyze_nonmonic_exit_2(capsys):
     assert json.loads(out)["error"]["type"] == "NonMonicInputError"
 
 
+def test_analyze_constant_exit_2(capsys):
+    # 1 is monic but constant: degenerate, not non-monic
+    code, out, _ = run_cli(capsys, "analyze", "1", "--no-cache")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "DegenerateInputError"
+
+
 def test_compare_same_exit_0(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "compare", PAIR_A, PAIR_B, "--cache-dir", str(tmp_path / "c")
@@ -491,7 +498,7 @@ def test_every_public_name_resolves_to_its_home_module(repo_root):
         "star = {}\n"
         "exec('from tracegenus import *', star)\n"
         "del star['__builtins__']\n"
-        "assert sorted(star) == tracegenus.__all__ and len(star) == 56, sorted(star)\n"
+        "assert sorted(star) == tracegenus.__all__ and len(star) == 55, sorted(star)\n"
         "for home, names in tracegenus._HOMES.items():\n"
         "    module = importlib.import_module('tracegenus.' + home)\n"
         "    for name in names:\n"

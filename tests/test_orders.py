@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from helpers import is_squarefree_int, lattice_equal, lattice_member, quadratic_field_disc
 from tracegenus import modp, orders
 from tracegenus.arith import PrimeFactorization, factor_integer
-from tracegenus.errors import NonMonicInputError, ReducibleInputError
+from tracegenus.errors import DegenerateInputError, NonMonicInputError, ReducibleInputError
 from tracegenus.orders import (
     dedekind_is_pmaximal,
     equation_order,
@@ -15,6 +15,7 @@ from tracegenus.orders import (
     pmaximalize,
 )
 from tracegenus.polys import IntPoly, discriminant, parse_poly
+from tracegenus.splitting import split_prime
 
 # (label, polynomial, index, field disc): quartets pinned by hand
 KNOWN_FIELDS = [
@@ -195,8 +196,15 @@ def test_order_from_rows_normalizes_scaling():
 
 
 def test_degree_one_field():
-    mo = maximal_order(parse_poly("x + 7"))
-    assert mo.disc == 1 and mo.index == 1 and mo.degree == 1
+    # the general path: index 1, disc 1, no factors, and one prime of
+    # degree 1 above every p on every route
+    for text in ("x", "x - 3", "x + 7"):
+        mo = maximal_order(parse_poly(text))
+        assert mo.disc == 1 and mo.index == 1 and mo.degree == 1
+        assert mo.disc_factored.factors == ()
+        for p in (2, 3, 7, 101):
+            for method in ("auto", "polynomial", "algebra"):
+                assert split_prime(mo, p, method=method).pairs == ((1, 1),)
 
 
 def test_rejects_bad_inputs():
@@ -204,6 +212,8 @@ def test_rejects_bad_inputs():
         maximal_order(parse_poly("2*x^2 + 1"))
     with pytest.raises(NonMonicInputError):
         maximal_order(IntPoly((5,)))
+    with pytest.raises(DegenerateInputError):
+        maximal_order(IntPoly((1,)))
     with pytest.raises(ReducibleInputError) as exc:
         maximal_order(parse_poly("x^2 - 1"))
     assert sorted(g.coeffs for g in exc.value.factors) == [(-1, 1), (1, 1)]

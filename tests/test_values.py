@@ -5,7 +5,7 @@ import pytest
 from tracegenus.arith import PrimeFactorization
 from tracegenus.corpus import parse_corpus
 from tracegenus.genus import cross_validate
-from tracegenus.orders import Order, QuotientAlgebra, mult_table
+from tracegenus.orders import Order, mult_table
 from tracegenus.polys import IntPoly
 
 PAIR = ("sextic-pair-a", "sextic-pair-b")
@@ -21,7 +21,6 @@ def values(corpus_analyses):
         "PrimeFactorization": mo.disc_factored,
         "Order": mo.order,
         "MaximalOrder": mo,
-        "QuotientAlgebra": QuotientAlgebra(3, mo.degree, mult_table(mo.order)),
         "SplittingType": left.splittings[0],
         "TraceForm": left.trace_form,
         "AlphaClass": left.alphas[0],
