@@ -7,7 +7,8 @@ forked children the other strides, with the same output as `--jobs 1`.
 
 Exit codes: 0 success (or verdict same), 1 verdict different (or every scan
 record failed), 2 unparseable or ill-formed input, 3 reducible polynomial,
-4 comparison not applicable.
+4 comparison not applicable, 5 an analysis that failed on valid input (a
+factorization beyond the deterministic schedule, or a failed cross-check).
 """
 
 import argparse
@@ -43,6 +44,7 @@ EXIT_DIFFERENT = 1
 EXIT_PARSE = 2
 EXIT_REDUCIBLE = 3
 EXIT_NOT_APPLICABLE = 4
+EXIT_FAILED = 5
 
 CACHE_ENV_VAR = "TRACEGENUS_CACHE_DIR"
 CACHE_MARKER = "source-digest"  # names the source_digest() the entries were written by
@@ -89,13 +91,11 @@ def cache_key(poly):
 def cache_load(cache_dir, key, poly, text):
     """((analysis, document), warning): None on a miss; the warning is set
     when an entry existed but was unusable and will be recomputed. The entry
-    is decoded once. It is usable when it is about poly, its input echo is
-    a string, the canonical bytes of its re-encoding are the bytes read, and
-    cheap invariants hold: its disc factorization, with factors above 1 in
-    strictly ascending order, multiplies out to its disc, and its trace form
-    has determinant disc and signature (r + s, s), as analyze_field checks.
-    Primality of the factors is not checked. The document returned is the
-    re-encoding with text as the input echo."""
+    is decoded once, by report.analysis_from_document, whose field_analysis
+    derives what the entry's primary keys imply and cross-checks them. It is
+    usable when that succeeds, it is about poly, its input echo is a string
+    and the canonical bytes of its re-encoding are the bytes read. The
+    document returned is the re-encoding with text as the input echo."""
     path = os.path.join(cache_dir, key + ".json")
     try:
         with open(path, "rb") as fh:
@@ -109,31 +109,17 @@ def cache_load(cache_dir, key, poly, text):
     if not isinstance(doc, dict) or doc.get("schema") != report.ANALYSIS_SCHEMA:
         return None, "stale cache entry %s ignored" % key
     try:
+        # TraceGenusError: a failed cross-check, or an alpha class asked of
+        # a composite "prime"
         fa = report.analysis_from_document(doc)
-        factored = fa.max_order.disc_factored
-        last = 1
-        for p, e in factored.factors:
-            # p >= 2 divides disc at most bit_length times; this also keeps
-            # an edited exponent from making p**e huge
-            if p <= last or not 0 < e <= abs(fa.disc).bit_length():
-                raise ValueError
-            last = p
-        r, s = fa.signature
-        if (
-            fa.poly == poly
-            and factored.sign in (1, -1)
-            and factored.value() == fa.disc
-            and fa.trace_form.det == fa.disc
-            and fa.trace_form.signature == (r + s, s)
-            and isinstance(doc["input"], str)
-        ):
+        if fa.poly == poly and isinstance(doc["input"], str):
             # one comparison of bytes covers spelling, JSON types, stray or
             # missing keys and every derived key
             document = report.analysis_document(fa, doc["input"])
             if report.canonical_bytes(document) == raw:
                 document["input"] = text
                 return (fa, document), None
-    except (KeyError, TypeError, ValueError, ArithmeticError):
+    except (KeyError, TypeError, ValueError, ArithmeticError, TraceGenusError):
         pass
     return None, "corrupt cache entry %s ignored" % key
 
@@ -216,7 +202,8 @@ def _emit(doc, args, render):
         sys.stdout.write(report.dump_pretty(doc))
 
 
-def _emit_input_error(exc, args):
+def _emit_error(exc, args):
+    """Print the error document of exc; returns the exit code of its kind."""
     factors = getattr(exc, "factors", None)
     doc = report.error_document(exc, factors=factors)
     if args.human:
@@ -228,7 +215,9 @@ def _emit_input_error(exc, args):
     print("error: %s" % exc, file=sys.stderr)
     if isinstance(exc, ReducibleInputError):
         return EXIT_REDUCIBLE
-    return EXIT_PARSE
+    if isinstance(exc, (ParseError, NonMonicInputError, DegenerateInputError)):
+        return EXIT_PARSE
+    return EXIT_FAILED
 
 
 def cmd_analyze(args):
@@ -236,8 +225,8 @@ def cmd_analyze(args):
     cache_dir, warnings = open_cache(args)
     try:
         analysis, doc, warns = analyze_text(args.polynomial, cache_dir)
-    except (ParseError, NonMonicInputError, DegenerateInputError, ReducibleInputError) as exc:
-        return _emit_input_error(exc, args)
+    except TraceGenusError as exc:
+        return _emit_error(exc, args)
     doc["meta"] = _meta(t0, warnings + warns)
     _emit(doc, args, lambda _: report.render_analysis(analysis))
     return EXIT_OK
@@ -254,8 +243,8 @@ def cmd_compare(args):
             warnings.extend(warns)
             analyses.append(analysis)
             docs.append(doc)
-    except (ParseError, NonMonicInputError, DegenerateInputError, ReducibleInputError) as exc:
-        return _emit_input_error(exc, args)
+    except TraceGenusError as exc:
+        return _emit_error(exc, args)
     comparison = compare_spinor_genus(*analyses)
     prediction = predict_equivalence(*analyses)
     crossval = None
@@ -378,8 +367,8 @@ def cmd_scan(args):
     try:
         corpus = read_corpus(args.corpus)
     except ParseError as exc:
-        return _emit_input_error(exc, args)
-    except OSError as exc:
+        return _emit_error(exc, args)
+    except (OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     cache_dir, warnings = open_cache(args)

@@ -110,16 +110,16 @@ def order_from_rows(f, rows, denom, disc_f):
 @lru_cache(maxsize=128)
 def mult_table(order):
     """Structure constants: table[i][j] = coordinates of w_i * w_j in the
-    order's own basis (integers; integrality is exactly ring closure)."""
+    order's own basis (integers; integrality is exactly ring closure). The
+    ring is commutative, so only j >= i is computed."""
     n = order.degree
     d = order.denom
     # w_i * w_j = prod / d^2, so its coordinates x solve x * (d * basis_num) = prod
     basis = [[d * c for c in row] for row in order.basis_num]
     polys = order.basis_polys()
-    table = []
+    table = [[None] * n for _ in range(n)]
     for i in range(n):
-        row = []
-        for j in range(n):
+        for j in range(i, n):
             prod = (polys[i] * polys[j]).mod_monic(order.poly)
             vec = list(prod.coeffs) + [0] * (n - len(prod.coeffs))
             coords = solve_lower_unit(basis, vec)
@@ -127,9 +127,8 @@ def mult_table(order):
                 raise InternalConsistencyError(
                     "order is not multiplicatively closed at basis (%d,%d)" % (i, j)
                 )
-            row.append(tuple(coords))
-        table.append(tuple(row))
-    return tuple(table)
+            table[i][j] = table[j][i] = tuple(coords)
+    return tuple(tuple(row) for row in table)
 
 
 def _multiply_in_order(table, x, y):

@@ -10,9 +10,10 @@ The codec table below is the format's only statement: one (document key,
 wire codec) entry per value of each type a document carries, read by the
 encoders, by `analysis_from_document` and by the renderers. Derived keys (g,
 residue_degree_sum, tame, homogeneous, unit_rep, passes, equal) name
-properties: they are written, never read back. Only the top level of an
-analysis document is spelled out in both directions, as its keys come from
-MaximalOrder and Order rather than from one tuple.
+properties, and an analysis document's degree, alphas and gamma are what
+field_analysis derives: all are written, never read back. Only the top level
+of an analysis document is spelled out in both directions, as its keys come
+from MaximalOrder and Order rather than from one tuple.
 
 The `meta` key is the non-canonical envelope (timing, cache notes); the
 canonical byte form of a document is the compact sorted-key dump with `meta`
@@ -29,10 +30,10 @@ from .polys import IntPoly, poly_to_string
 from .splitting import SplittingType
 from .traceform import (
     AlphaClass,
-    FieldAnalysis,
     GammaClassification,
     GammaTest,
     TraceForm,
+    field_analysis,
 )
 
 ANALYSIS_SCHEMA = "tracegenus/analysis/v1"
@@ -50,20 +51,8 @@ _AS_IS = _Codec(lambda value: value, lambda item: item)
 _BIG = _Codec(str, int)  # an int as a decimal string
 
 
-def _exact(kind):
-    """A JSON value read back only as exactly `kind`: 2.0 is no int, and 1
-    is no bool, although both compare equal to what a fresh run writes."""
-
-    def decode(item):
-        if type(item) is not kind:
-            raise TypeError("expected %s, got %r" % (kind.__name__, item))
-        return item
-
-    return _Codec(lambda value: value, decode)
-
-
-_INT = _exact(int)  # a small count or sign, a JSON number
-_BOOL = _exact(bool)
+_INT = _Codec(lambda value: value, int)  # a small count or sign, a JSON number
+_BOOL = _AS_IS  # a flag, a JSON bool
 
 
 def _seq(codec):
@@ -200,30 +189,23 @@ def analysis_document(analysis, source_text):
 
 
 def analysis_from_document(doc):
-    """The FieldAnalysis of a document: the inverse of analysis_document up
-    to the input echo, so that cached documents feed the comparators."""
+    """The FieldAnalysis of a document, rebuilt by field_analysis from its
+    primary keys, so that cached documents feed the comparators: degree,
+    alphas and gamma are derived again, never read."""
     poly = IntPoly(_BIGS.decode(doc["coefficients"]))
-    disc = _BIG.decode(doc["disc"])
     index = _BIG.decode(doc["index"])
     order = Order(
         poly=poly,
         basis_num=_BIG_MATRIX.decode(doc["basis"]["matrix"]),
         denom=_BIG.decode(doc["basis"]["denominator"]),
-        disc=disc,
+        disc=_BIG.decode(doc["disc"]),
     )
     disc_factored = _DISC_FACTORIZATION.decode(doc["disc_factorization"])
-    return FieldAnalysis(
-        poly=poly,
-        degree=_INT.decode(doc["degree"]),
-        signature=_COUNTS.decode(doc["signature"]),
-        disc=disc,
-        disc_factored=disc_factored.factors,
-        index=index,
-        max_order=MaximalOrder(order=order, index=index, disc_factored=disc_factored),
-        splittings=_SPLITTINGS.decode(doc["splittings"]),
-        alphas=_ALPHAS.decode(doc["alphas"]),
-        gamma=_GAMMA.decode(doc["gamma"]),
-        trace_form=_TRACE_FORM.decode(doc["trace_form"]),
+    return field_analysis(
+        MaximalOrder(order=order, index=index, disc_factored=disc_factored),
+        _COUNTS.decode(doc["signature"]),
+        _SPLITTINGS.decode(doc["splittings"]),
+        _TRACE_FORM.decode(doc["trace_form"]),
     )
 
 

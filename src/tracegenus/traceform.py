@@ -271,50 +271,69 @@ class FieldAnalysis(NamedTuple):
         return None
 
 
+def field_analysis(max_order, signature, splittings, trace_form):
+    """The FieldAnalysis of a maximal order, its field signature (r, s), its
+    splitting types at the disc primes and its trace form, computed or
+    decoded: degree, alphas and gamma are derived here. Raises
+    InternalConsistencyError if the parts contradict each other; a disc
+    factor is proven prime only where an alpha class needs it.
+    """
+    mo = max_order
+    n = mo.degree
+    r, s = signature
+    disc = mo.disc
+    factored = mo.disc_factored
+    last = 1
+    for p, e in factored.factors:
+        # p >= 2 divides disc at most bit_length times; this also keeps an
+        # edited exponent from making p**e huge
+        if p <= last or not 0 < e <= abs(disc).bit_length():
+            raise InternalConsistencyError("disc factors do not ascend as prime powers")
+        last = p
+    if factored.sign not in (1, -1) or factored.value() != disc:
+        raise InternalConsistencyError("factored disc does not match disc")
+    if mo.order.index_in() != mo.index:
+        raise InternalConsistencyError("basis does not have the index claimed")
+    if (disc < 0) != (s % 2 == 1):
+        raise InternalConsistencyError("disc sign contradicts signature")
+    if [st.p for st in splittings] != factored.primes():
+        raise InternalConsistencyError("splittings are not at the disc primes")
+    for st in splittings:
+        if sum(e * f for e, f in st.pairs) != n:
+            raise InternalConsistencyError("splitting at %d does not have degree %d" % (st.p, n))
+        if st.is_tame and st.tame_disc_valuation != factored.valuation(st.p):
+            raise InternalConsistencyError(
+                "tame valuation formula disagrees with factored disc at %d" % st.p
+            )
+    if trace_form.det != disc:
+        raise InternalConsistencyError("trace form determinant is not the discriminant")
+    if trace_form.signature != (r + s, s):
+        raise InternalConsistencyError("trace form signature contradicts embeddings")
+    return FieldAnalysis(
+        poly=mo.poly,
+        degree=n,
+        signature=(r, s),
+        disc=disc,
+        disc_factored=factored.factors,
+        index=mo.index,
+        max_order=mo,
+        splittings=splittings,
+        alphas=tuple(
+            alpha_invariant(st)
+            for st in splittings
+            if st.p != 2 and st.is_tame and st.is_ramified
+        ),
+        gamma=classify_gamma(n, splittings),
+        trace_form=trace_form,
+    )
+
+
 def analyze_field(f):
     """Full analysis of the field defined by monic irreducible f.
 
     Raises NonMonicInputError / ReducibleInputError on bad input, and
-    InternalConsistencyError if any of the cross-checks between independent
-    computations (trace form vs discriminant, signature vs disc sign, tame
-    valuations vs factored disc) fails.
+    InternalConsistencyError if a cross-check of field_analysis fails.
     """
     mo = maximal_order(f)
-    n = mo.degree
-    r, s = field_signature(f)
-    disc = mo.disc
-    sign = -1 if disc < 0 else 1
-    if sign != (1 if s % 2 == 0 else -1):
-        raise InternalConsistencyError("disc sign contradicts signature")
-    splittings = tuple(
-        split_prime(mo, p) for p in sorted(mo.disc_factored.primes())
-    )
-    for st in splittings:
-        if st.is_tame and st.tame_disc_valuation != mo.disc_factored.valuation(st.p):
-            raise InternalConsistencyError(
-                "tame valuation formula disagrees with factored disc at %d" % st.p
-            )
-    alphas = tuple(
-        alpha_invariant(st)
-        for st in splittings
-        if st.p != 2 and st.is_tame and st.is_ramified
-    )
-    gamma = classify_gamma(n, splittings)
-    tf = TraceForm.of_order(mo.order)
-    if tf.det != disc:
-        raise InternalConsistencyError("trace form determinant is not the discriminant")
-    if tf.signature != (r + s, s):
-        raise InternalConsistencyError("trace form signature contradicts embeddings")
-    return FieldAnalysis(
-        poly=f,
-        degree=n,
-        signature=(r, s),
-        disc=disc,
-        disc_factored=mo.disc_factored.factors,
-        index=mo.index,
-        max_order=mo,
-        splittings=splittings,
-        alphas=alphas,
-        gamma=gamma,
-        trace_form=tf,
-    )
+    splittings = tuple(split_prime(mo, p) for p in mo.disc_factored.primes())
+    return field_analysis(mo, field_signature(f), splittings, TraceForm.of_order(mo.order))

@@ -130,6 +130,21 @@ def test_compare_parse_error_exit_2(capsys):
     assert json.loads(out)["error"]["type"] == "ParseError"
 
 
+HARD_CUBIC = "x^3 + 117476*x^2 + 278917*x - 246171"  # composite cofactor 52348860508139741563
+
+
+@pytest.mark.parametrize("argv", [("analyze", HARD_CUBIC), ("compare", "x^2 - 5", HARD_CUBIC)])
+def test_failed_analysis_prints_its_error_and_exits_5(capsys, monkeypatch, argv):
+    # with no rho factor, the disc's cofactor is beyond the schedule
+    monkeypatch.setattr("tracegenus.arith._brent_rho", lambda n: None)
+    code, out, err = run_cli(capsys, *argv, "--no-cache")
+    assert code == cli.EXIT_FAILED == 5
+    error = json.loads(out)["error"]
+    assert error["type"] == "FactorizationLimitError"
+    assert "52348860508139741563" in error["message"]
+    assert err == "error: %s\n" % error["message"]
+
+
 def test_compare_human_output(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys,
@@ -235,6 +250,15 @@ def test_scan_missing_file_exit_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+def test_scan_file_that_is_not_utf8_exit_2(capsys, tmp_path):
+    corpus = tmp_path / "latin1.csv"
+    corpus.write_bytes("a,x^2 - 5\nb\xe9,x^2 + 1\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, "scan", str(corpus), "--no-cache")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "utf-8" in err
 
 
 def test_scan_malformed_row_exit_2(capsys, tmp_path):
@@ -797,6 +821,31 @@ _GAMMA_OF_X2_5 = {
         {"gamma": _GAMMA_OF_X2_5 | {"tests": [_GAMMA_OF_X2_5["tests"][0] | {"passes": 1}]}},
         # an input echo that is no text
         {"input": ["x^2 - 5"]},
+        # derived keys edited with their own derived keys: field_analysis
+        # derives them again from the primary keys
+        {"gamma": _GAMMA_OF_X2_5 | {"is_gamma": False}},
+        {"alphas": [_ALPHA_AT_5 | {"legendre": 1, "unit_rep": "1"}]},
+        # primary keys edited consistently with each other, which only a
+        # cross-check of field_analysis refuses
+        {
+            "signature": [0, 1],
+            "trace_form": {"gram": [["2", "1"], ["1", "3"]], "det": "5", "signature": [1, 1]},
+        },
+        {
+            "splittings": [
+                _SPLITTING_AT_5 | {"pairs": [[1, 1], [1, 1]], "g": 2, "residue_degree_sum": 2}
+            ]
+        },
+        {"index": "1"},
+        # a composite "prime": no alpha class exists at 9
+        {
+            "disc": "9",
+            "disc_factorization": {"sign": 1, "factors": [["9", 1]]},
+            "splittings": [_SPLITTING_AT_5 | {"p": "9"}],
+            "alphas": [_ALPHA_AT_5 | {"p": "9"}],
+            "gamma": _GAMMA_OF_X2_5 | {"tests": [_GAMMA_OF_X2_5["tests"][0] | {"p": "9"}]},
+            "trace_form": {"gram": [["2", "1"], ["1", "5"]], "det": "9", "signature": [2, 0]},
+        },
     ],
 )
 def test_inconsistent_cache_entry_warns_and_recomputes(capsys, tmp_path, changes):
@@ -829,6 +878,39 @@ def test_compare_through_an_entry_without_alphas(capsys, tmp_path):
     assert doc["comparison"]["verdict"] == "same-spinor-genus"
     assert doc["left"]["alphas"][0]["p"] == "32009"
     assert any("corrupt cache entry" in w for w in doc["meta"]["warnings"])
+
+
+def test_compare_through_an_entry_with_a_flipped_alpha(capsys, tmp_path):
+    # the stored alpha class at 32009 flipped, with its unit_rep: read back,
+    # it would make the pair a counterexample to the gamma prediction
+    cache = tmp_path / "cache"
+    left, right = "x^3 - x^2 - 52*x + 159", "x^3 - x^2 - 34*x - 24"
+    analyze_json(capsys, left, "--cache-dir", str(cache))
+    alpha = {"p": "32009", "representative": "2", "nonresidue": "3", "unit_rep": "3", "legendre": -1}
+    _edit_entry(cache, left, alphas=[alpha])
+
+    code, out, _ = run_cli(capsys, "compare", left, right, "--cache-dir", str(cache))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["comparison"]["verdict"] == "same-spinor-genus"
+    assert doc["cross_validation"] == {"consistent": True}
+    assert doc["left"]["alphas"][0]["legendre"] == 1
+    assert any("corrupt cache entry" in w for w in doc["meta"]["warnings"])
+
+
+def test_corpus_scan_hits_its_own_cache(capsys, repo_root, tmp_path):
+    # a warm scan serves every entry that the cold one wrote, with the
+    # frozen bytes and no warning
+    import hashlib
+
+    corpus = str(repo_root / "corpus" / "fields.csv")
+    for _ in ("cold", "warm"):
+        code, out, _ = run_cli(capsys, "scan", corpus, "--pairs", "--cache-dir", str(tmp_path / "c"))
+        assert code == 0
+        doc = json.loads(out)
+        assert "warnings" not in doc["meta"]
+        digest = "6fcedeba5ec658d1d98b162eeff327a690da9bbfe3a61d44df458e19b642d9ef"
+        assert hashlib.sha256(canonical_bytes(doc)).hexdigest() == digest
 
 
 def test_benchmark_counts_cache_load_outcomes(capsys, repo_root, tmp_path, monkeypatch):

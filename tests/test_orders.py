@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 from helpers import is_squarefree_int, lattice_equal, lattice_member, quadratic_field_disc
 from tracegenus import modp, orders
 from tracegenus.arith import PrimeFactorization, factor_integer
-from tracegenus.errors import DegenerateInputError, NonMonicInputError, ReducibleInputError
+from tracegenus.errors import (
+    DegenerateInputError,
+    InternalConsistencyError,
+    NonMonicInputError,
+    ReducibleInputError,
+)
 from tracegenus.orders import (
     dedekind_is_pmaximal,
     equation_order,
@@ -97,8 +102,21 @@ def test_order_is_multiplicatively_closed():
         for wj in basis:
             assert (wi * wj).mod_monic(mo.poly) is not None
             assert in_order(mo.order, (wi * wj).mod_monic(mo.poly), d * d)
-    # the cached structure constants exist and are integral
-    assert mult_table(mo.order) is not None
+    # the structure constants give every product, the mirrored half too:
+    # basis rows are numerators over d, so d * sum(c_k * w_k) is w_i * w_j
+    table = mult_table(mo.order)
+    for i, wi in enumerate(basis):
+        for j, wj in enumerate(basis):
+            combo = sum((IntPoly([d * c]) * wk for c, wk in zip(table[i][j], basis)), IntPoly([0]))
+            assert combo == (wi * wj).mod_monic(mo.poly), (i, j)
+
+
+def test_mult_table_refuses_a_lattice_that_is_no_ring():
+    # 1 and x/2 over x^2 - 5: (x/2)^2 = 5/4 is not in the lattice
+    f = parse_poly("x^2 - 5")
+    lattice = orders.Order(poly=f, basis_num=((2, 0), (0, 1)), denom=2, disc=5)
+    with pytest.raises(InternalConsistencyError, match=r"closed at basis \(1,1\)"):
+        mult_table(lattice)
 
 
 def test_dedekind_agrees_with_round2_index():
