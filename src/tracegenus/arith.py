@@ -9,7 +9,7 @@ counterexample is known, but the answer is probable, not proven.
 
 Factorization trial-divides by the primes below 1000 and hands the cofactor
 to Brent's variant of Pollard rho over an escalating, fixed parameter
-schedule. Composite cofactors above 10^18 that survive the schedule raise
+schedule. A composite cofactor that survives the schedule raises
 FactorizationLimitError rather than looping.
 """
 
@@ -20,7 +20,6 @@ from typing import NamedTuple
 
 from .errors import DegenerateInputError, FactorizationLimitError, InvalidPrimeError
 
-_COFACTOR_LIMIT = 10 ** 18
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_k: the least odd composite that is a strong pseudoprime to each of the
 # first k prime bases, so those k bases decide every n < psi_k exactly
@@ -233,12 +232,8 @@ def factor_integer(n):
             continue
         d = _brent_rho(m)
         if d is None:
-            if m > _COFACTOR_LIMIT:
-                raise FactorizationLimitError(
-                    "composite cofactor %d exceeds the deterministic schedule" % m
-                )
-            raise FactorizationLimitError(  # pragma: no cover
-                "rho schedule exhausted on %d" % m
+            raise FactorizationLimitError(
+                "composite cofactor %d exceeds the deterministic schedule" % m
             )
         stack.extend([d, m // d])
     return PrimeFactorization(sign, tuple(sorted(out.items())))

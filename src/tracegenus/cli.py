@@ -119,7 +119,7 @@ def cache_load(cache_dir, key, poly, text):
             if report.canonical_bytes(document) == raw:
                 document["input"] = text
                 return (fa, document), None
-    except (KeyError, TypeError, ValueError, ArithmeticError, TraceGenusError):
+    except (LookupError, TypeError, ValueError, ArithmeticError, TraceGenusError):
         pass
     return None, "corrupt cache entry %s ignored" % key
 

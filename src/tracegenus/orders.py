@@ -1,13 +1,14 @@
 """Orders in number fields: Round 2 at each prime (Cohen, GTM 138, Alg.
-6.1.8), joined into a maximal order with its index and factored
-discriminant. Dedekind's criterion takes the first step: it proves Z[theta]
-p-maximal, or gives the first enlargement, from which the
-radical/multiplier-ring loop continues.
+6.1.8), joined into a maximal order with its factored discriminant.
+Dedekind's criterion takes the first step: it proves Z[theta] p-maximal, or
+gives the first enlargement, from which the radical/multiplier-ring loop
+continues.
 
 An order is stored as an n x n integer basis matrix over a common
 denominator. Rows are coordinates in the power basis 1, x, ..., x^(n-1) of
 Q[x]/(f); the matrix is kept in lower-triangular HNF so row 0 is always the
-element 1 and the diagonal exposes the elementary divisors.
+element 1 and the diagonal exposes the elementary divisors, whose product
+gives the index of Z[theta].
 """
 
 from functools import lru_cache
@@ -35,7 +36,6 @@ class Order(NamedTuple):
     poly: IntPoly
     basis_num: tuple
     denom: int
-    disc: int
 
     @property
     def degree(self):
@@ -45,7 +45,8 @@ class Order(NamedTuple):
         return [IntPoly(list(row)) for row in self.basis_num]
 
     def index_in(self):
-        """Index [O : Z[x]/(poly)] ... of Z[theta] inside this order."""
+        """Index [O : Z[theta]] of the equation order Z[theta] = Z[x]/(poly)
+        in this order: denom^n over the product of the diagonal."""
         det = 1
         for i in range(self.degree):
             det *= self.basis_num[i][i]
@@ -56,8 +57,10 @@ class Order(NamedTuple):
 
 
 class MaximalOrder(NamedTuple):
+    """The maximal order's HNF basis and its factored discriminant; index
+    and disc are derived from them."""
+
     order: Order
-    index: int
     disc_factored: PrimeFactorization
 
     @property
@@ -69,20 +72,22 @@ class MaximalOrder(NamedTuple):
         return self.order.degree
 
     @property
+    def index(self):
+        return self.order.index_in()
+
+    @property
     def disc(self):
-        return self.order.disc
+        return self.disc_factored.value()
 
 
-def equation_order(f, disc_f=None):
+def equation_order(f):
     """Z[x]/(f) with the power basis."""
     n = f.degree
     basis = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    if disc_f is None:
-        disc_f = discriminant(f)
-    return Order(poly=f, basis_num=basis, denom=1, disc=disc_f)
+    return Order(poly=f, basis_num=basis, denom=1)
 
 
-def order_from_rows(f, rows, denom, disc_f):
+def order_from_rows(f, rows, denom):
     """Canonical Order from spanning rows (power-basis numerators over denom)."""
     n = f.degree
     h = hnf_lower(rows, n)
@@ -95,16 +100,7 @@ def order_from_rows(f, rows, denom, disc_f):
     if content > 1:
         h = [[c // content for c in row] for row in h]
         denom //= content
-    det = 1
-    for i in range(n):
-        det *= h[i][i]
-    index, rem = divmod(denom ** n, det)
-    if rem:  # pragma: no cover
-        raise InternalConsistencyError("lattice does not contain Z[theta] scaled")
-    disc, rem = divmod(disc_f, index * index)
-    if rem:  # pragma: no cover
-        raise InternalConsistencyError("index squared does not divide disc(f)")
-    return Order(poly=f, basis_num=tuple(tuple(r) for r in h), denom=denom, disc=disc)
+    return Order(poly=f, basis_num=tuple(tuple(r) for r in h), denom=denom)
 
 
 @lru_cache(maxsize=128)
@@ -225,9 +221,8 @@ def _radical_kernel(frob, p):
     return left_kernel_mod_p(power, p)
 
 
-def pmaximalize(f, p, disc_f=None):
+def pmaximalize(f, p):
     """p-maximal order containing Z[x]/(f) (Cohen, GTM 138, Alg. 6.1.8).
-    Callers that already know disc(f) pass it as disc_f.
 
     Dedekind's criterion comes first: a p-maximal Z[theta] is returned with
     no multiplication table. Otherwise the radical/multiplier loop starts
@@ -237,11 +232,9 @@ def pmaximalize(f, p, disc_f=None):
     _require_field_poly(f)
     if not is_prime(p):
         raise InvalidPrimeError("pmaximalize needs a prime, got %r" % (p,))
-    if disc_f is None:
-        disc_f = discriminant(f)
     is_pmaximal, witnesses = dedekind_is_pmaximal(f, p)
     if is_pmaximal:
-        return equation_order(f, disc_f)
+        return equation_order(f)
     n = f.degree
     (u,) = witnesses
     # p*Z[theta] + U*Z[theta] over p: as f = U*U_bar mod p, the products
@@ -249,10 +242,10 @@ def pmaximalize(f, p, disc_f=None):
     m = n - u.degree
     rows = [[p if i == j else 0 for j in range(n)] for i in range(n)]
     rows.extend([0] * i + list(u.coeffs) + [0] * (m - 1 - i) for i in range(m))
-    return _round_two(order_from_rows(f, rows, p, disc_f), p, disc_f)
+    return _round_two(order_from_rows(f, rows, p), p)
 
 
-def _round_two(order, p, disc_f):
+def _round_two(order, p):
     """The radical/multiplier enlargement loop at p from a starting order
     of f = order.poly, until the order is its own ring of multipliers."""
     f = order.poly
@@ -290,7 +283,7 @@ def _round_two(order, p, disc_f):
                     for t in range(n):
                         acc[t] += coeff * brow[t]
             power_rows.append(acc)
-        new_order = order_from_rows(f, power_rows, p * order.denom, disc_f)
+        new_order = order_from_rows(f, power_rows, p * order.denom)
         if new_order.basis_num == order.basis_num and new_order.denom == order.denom:
             return order
         order = new_order
@@ -309,13 +302,11 @@ def maximal_order(f):
             "polynomial is reducible: %s" % (f,),
             factors=[g for g, _ in factors],
         )
-    disc_f = discriminant(f)
-    disc_fact = factor_integer(disc_f)
+    disc_fact = factor_integer(discriminant(f))
     square_primes = [p for p, e in disc_fact.factors if e >= 2]
-    locals_ = [pmaximalize(f, p, disc_f) for p in square_primes]
+    locals_ = [pmaximalize(f, p) for p in square_primes]
     if not locals_:
-        order = equation_order(f, disc_f)
-        return MaximalOrder(order=order, index=1, disc_factored=disc_fact)
+        return MaximalOrder(order=equation_order(f), disc_factored=disc_fact)
     common = 1
     for o in locals_:
         common = common * o.denom // gcd(common, o.denom)
@@ -324,7 +315,7 @@ def maximal_order(f):
         scale = common // o.denom
         for row in o.basis_num:
             rows.append([c * scale for c in row])
-    joined = order_from_rows(f, rows, common, disc_f)
+    joined = order_from_rows(f, rows, common)
     index = joined.index_in()
     exponents = []
     for p, e in disc_fact.factors:
@@ -338,8 +329,6 @@ def maximal_order(f):
         if v:
             exponents.append((p, v))
     disc_factored = PrimeFactorization(disc_fact.sign, tuple(exponents))
-    if disc_factored.value() != joined.disc:  # pragma: no cover
-        raise InternalConsistencyError("factored disc does not match disc")
     # ring closure is exercised here; raises if the join is not a ring
     mult_table(joined)
-    return MaximalOrder(order=joined, index=index, disc_factored=disc_factored)
+    return MaximalOrder(order=joined, disc_factored=disc_factored)

@@ -22,7 +22,7 @@ from .errors import (
     WildRamificationError,
 )
 from .linalg import det_bareiss, signature_of_symmetric
-from .orders import maximal_order
+from .orders import maximal_order, order_from_rows
 from .polys import IntPoly, sturm_count_real_roots
 from .splitting import split_prime
 
@@ -80,14 +80,13 @@ class TraceForm(NamedTuple):
     @classmethod
     def of_order(cls, order):
         gram = gram_matrix(order)
-        det = det_bareiss([list(r) for r in gram])
-        return cls(gram=gram, det=det, signature=form_signature(gram))
+        return cls(gram=gram, det=det_bareiss(gram), signature=form_signature(gram))
 
 
 def form_signature(gram):
     """(positive, negative) inertia counts of a nonsingular symmetric integer
     matrix, by exact congruence diagonalization."""
-    return signature_of_symmetric([list(r) for r in gram])
+    return signature_of_symmetric(gram)
 
 
 def field_signature(f):
@@ -271,17 +270,23 @@ class FieldAnalysis(NamedTuple):
         return None
 
 
-def field_analysis(max_order, signature, splittings, trace_form):
-    """The FieldAnalysis of a maximal order, its field signature (r, s), its
-    splitting types at the disc primes and its trace form, computed or
-    decoded: degree, alphas and gamma are derived here. Raises
-    InternalConsistencyError if the parts contradict each other; a disc
-    factor is proven prime only where an alpha class needs it.
+def field_analysis(max_order, signature, splittings):
+    """The FieldAnalysis of a maximal order, its field signature (r, s) and
+    its splitting types at the disc primes, computed or decoded: the trace
+    form, disc, index, degree, alphas and gamma are derived here, disc as
+    the Gram determinant. Raises InternalConsistencyError if the parts
+    contradict each other, or if the basis is not the canonical HNF that
+    order_from_rows makes of it; a disc factor is proven prime only where an
+    alpha class needs it.
     """
     mo = max_order
+    order = mo.order
+    if order.denom < 1 or order_from_rows(order.poly, order.basis_num, order.denom) != order:
+        raise InternalConsistencyError("basis is not in canonical form")
     n = mo.degree
     r, s = signature
-    disc = mo.disc
+    trace_form = TraceForm.of_order(order)
+    disc = trace_form.det
     factored = mo.disc_factored
     last = 1
     for p, e in factored.factors:
@@ -291,11 +296,10 @@ def field_analysis(max_order, signature, splittings, trace_form):
             raise InternalConsistencyError("disc factors do not ascend as prime powers")
         last = p
     if factored.sign not in (1, -1) or factored.value() != disc:
-        raise InternalConsistencyError("factored disc does not match disc")
-    if mo.order.index_in() != mo.index:
-        raise InternalConsistencyError("basis does not have the index claimed")
-    if (disc < 0) != (s % 2 == 1):
-        raise InternalConsistencyError("disc sign contradicts signature")
+        raise InternalConsistencyError("factored disc does not match the Gram determinant")
+    # the inertia of the form fixes the sign of its determinant, disc
+    if trace_form.signature != (r + s, s):
+        raise InternalConsistencyError("trace form signature contradicts embeddings")
     if [st.p for st in splittings] != factored.primes():
         raise InternalConsistencyError("splittings are not at the disc primes")
     for st in splittings:
@@ -305,10 +309,6 @@ def field_analysis(max_order, signature, splittings, trace_form):
             raise InternalConsistencyError(
                 "tame valuation formula disagrees with factored disc at %d" % st.p
             )
-    if trace_form.det != disc:
-        raise InternalConsistencyError("trace form determinant is not the discriminant")
-    if trace_form.signature != (r + s, s):
-        raise InternalConsistencyError("trace form signature contradicts embeddings")
     return FieldAnalysis(
         poly=mo.poly,
         degree=n,
@@ -336,4 +336,4 @@ def analyze_field(f):
     """
     mo = maximal_order(f)
     splittings = tuple(split_prime(mo, p) for p in mo.disc_factored.primes())
-    return field_analysis(mo, field_signature(f), splittings, TraceForm.of_order(mo.order))
+    return field_analysis(mo, field_signature(f), splittings)

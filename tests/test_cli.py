@@ -793,7 +793,7 @@ _GAMMA_OF_X2_5 = {
         # entries that do not decode
         {"alphas": None},
         {"gamma": {}},
-        # decoded trace forms that analyze_field would have refused
+        # stored trace forms that field_analysis would not derive
         {"trace_form": {"gram": [["2", "1"], ["1", "3"]], "det": "7", "signature": [2, 0]}},
         {"trace_form": {"gram": [["2", "1"], ["1", "3"]], "det": "5", "signature": [1, 1]}},
         # values that decode and pass the arithmetic checks, but are not
@@ -825,8 +825,8 @@ _GAMMA_OF_X2_5 = {
         # derives them again from the primary keys
         {"gamma": _GAMMA_OF_X2_5 | {"is_gamma": False}},
         {"alphas": [_ALPHA_AT_5 | {"legendre": 1, "unit_rep": "1"}]},
-        # primary keys edited consistently with each other, which only a
-        # cross-check of field_analysis refuses
+        # keys edited consistently with each other, which only a cross-check
+        # of field_analysis refuses
         {
             "signature": [0, 1],
             "trace_form": {"gram": [["2", "1"], ["1", "3"]], "det": "5", "signature": [1, 1]},
@@ -836,7 +836,7 @@ _GAMMA_OF_X2_5 = {
                 _SPLITTING_AT_5 | {"pairs": [[1, 1], [1, 1]], "g": 2, "residue_degree_sum": 2}
             ]
         },
-        {"index": "1"},
+        {"index": "1"},  # derived from the basis: only the bytes differ
         # a composite "prime": no alpha class exists at 9
         {
             "disc": "9",
@@ -846,19 +846,51 @@ _GAMMA_OF_X2_5 = {
             "gamma": _GAMMA_OF_X2_5 | {"tests": [_GAMMA_OF_X2_5["tests"][0] | {"p": "9"}]},
             "trace_form": {"gram": [["2", "1"], ["1", "5"]], "det": "9", "signature": [2, 0]},
         },
+        # bases that are not the canonical HNF order_from_rows makes
+        {"basis": {"denominator": "-2", "matrix": [["2", "0"], ["1", "1"]]}},
+        {"basis": {"denominator": "2", "matrix": [["2", "0"], ["3", "1"]]}},
+        {"basis": {"denominator": "2", "matrix": [["2", "1"], ["1", "1"]]}},
+        {"basis": {"denominator": "2", "matrix": [["2"], ["1", "1"]]}},
+        {"basis": {"denominator": "2", "matrix": [["2", "0", "7"], ["1", "1"]]}},
+        {"basis": {"denominator": "2", "matrix": []}},
+        # a Gram matrix of the same det and inertia, not the basis's
+        {"trace_form": {"gram": [["2", "-1"], ["-1", "3"]], "det": "5", "signature": [2, 0]}},
+        # forged to disc 20 = 2^2 * 5, consistently but for the kept basis
+        {
+            "disc": "20",
+            "disc_factorization": {"sign": 1, "factors": [["2", 2], ["5", 1]]},
+            "splittings": [
+                _SPLITTING_AT_5 | {"p": "2", "tame": False},
+                _SPLITTING_AT_5,
+            ],
+            "gamma": _GAMMA_OF_X2_5 | {"is_tame": False, "is_gamma": False},
+            "trace_form": {"gram": [["2", "0"], ["0", "10"]], "det": "20", "signature": [2, 0]},
+        },
     ],
 )
 def test_inconsistent_cache_entry_warns_and_recomputes(capsys, tmp_path, changes):
+    _assert_recomputed(capsys, tmp_path, "x^2 - 5", changes)
+
+
+def test_inconsistent_trace_form_inertia_warns_and_recomputes(capsys, tmp_path):
+    # a totally real quartic stored as (r, s) = (0, 2) with its form's
+    # inertia edited to match; the sign of the disc allows both
+    _, fresh = analyze_json(capsys, KLEIN_A, "--no-cache")
+    form = fresh["trace_form"] | {"signature": [2, 2]}
+    _assert_recomputed(capsys, tmp_path, KLEIN_A, {"signature": [0, 2], "trace_form": form})
+
+
+def _assert_recomputed(capsys, tmp_path, text, changes):
     cache = tmp_path / "cache"
-    analyze_json(capsys, "x^2 - 5", "--cache-dir", str(cache))
-    _edit_entry(cache, "x^2 - 5", **changes)
-    code, doc = analyze_json(capsys, "x^2 - 5", "--cache-dir", str(cache))
+    analyze_json(capsys, text, "--cache-dir", str(cache))
+    _edit_entry(cache, text, **changes)
+    code, doc = analyze_json(capsys, text, "--cache-dir", str(cache))
     assert code == 0
     assert any("corrupt cache entry" in w for w in doc["meta"]["warnings"])
-    _, fresh = analyze_json(capsys, "x^2 - 5", "--no-cache")
+    _, fresh = analyze_json(capsys, text, "--no-cache")
     assert canonical_bytes(doc) == canonical_bytes(fresh)
     # the recomputation replaced the entry
-    entry = cache / (cli.cache_key(parse_poly("x^2 - 5")) + ".json")
+    entry = cache / (cli.cache_key(parse_poly(text)) + ".json")
     assert entry.read_bytes() == canonical_bytes(fresh)
 
 

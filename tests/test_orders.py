@@ -114,7 +114,7 @@ def test_order_is_multiplicatively_closed():
 def test_mult_table_refuses_a_lattice_that_is_no_ring():
     # 1 and x/2 over x^2 - 5: (x/2)^2 = 5/4 is not in the lattice
     f = parse_poly("x^2 - 5")
-    lattice = orders.Order(poly=f, basis_num=((2, 0), (0, 1)), denom=2, disc=5)
+    lattice = orders.Order(poly=f, basis_num=((2, 0), (0, 1)), denom=2)
     with pytest.raises(InternalConsistencyError, match=r"closed at basis \(1,1\)"):
         mult_table(lattice)
 
@@ -136,8 +136,7 @@ def test_dedekind_agrees_with_round2_index():
 
 
 def _square_primes(f):
-    disc_f = discriminant(f)
-    return disc_f, [p for p, e in factor_integer(disc_f).factors if e >= 2]
+    return [p for p, e in factor_integer(discriminant(f)).factors if e >= 2]
 
 
 def test_pmaximalize_equals_round_two_from_the_equation_order(corpus_records):
@@ -145,10 +144,9 @@ def test_pmaximalize_equals_round_two_from_the_equation_order(corpus_records):
     checked = 0
     for rec in corpus_records:
         f = parse_poly(rec.text)
-        disc_f, primes = _square_primes(f)
-        for p in primes:
-            start = equation_order(f, disc_f)
-            assert pmaximalize(f, p, disc_f) == orders._round_two(start, p, disc_f), (rec.label, p)
+        for p in _square_primes(f):
+            start = equation_order(f)
+            assert pmaximalize(f, p) == orders._round_two(start, p), (rec.label, p)
             checked += 1
     assert checked >= 60
 
@@ -157,12 +155,11 @@ def test_dedekind_maximal_prime_builds_no_table(corpus_records):
     settled = 0
     for rec in corpus_records:
         f = parse_poly(rec.text)
-        disc_f, primes = _square_primes(f)
-        for p in primes:
+        for p in _square_primes(f):
             if not dedekind_is_pmaximal(f, p)[0]:
                 continue
             mult_table.cache_clear()
-            assert pmaximalize(f, p, disc_f) == equation_order(f, disc_f)
+            assert pmaximalize(f, p) == equation_order(f)
             assert mult_table.cache_info().misses == 0, (rec.label, p)
             settled += 1
     assert settled >= 40
@@ -206,9 +203,8 @@ def test_maximal_order_is_deterministic():
 
 def test_order_from_rows_normalizes_scaling():
     f = parse_poly("x^2 - 5")
-    disc_f = discriminant(f)
-    a = order_from_rows(f, [[2, 0], [1, 1]], 2, disc_f)
-    b = order_from_rows(f, [[6, 0], [3, 3]], 6, disc_f)  # same lattice, scaled rows
+    a = order_from_rows(f, [[2, 0], [1, 1]], 2)
+    b = order_from_rows(f, [[6, 0], [3, 3]], 6)  # same lattice, scaled rows
     assert a.basis_num == b.basis_num and a.denom == b.denom
     assert lattice_equal(a.basis_num, a.denom, [[2, 0], [1, 1]], 2)
 

@@ -93,6 +93,16 @@ def test_round_trip_preserves_named_parts(corpus_analyses, corpus_texts):
     assert back.alphas == fa.alphas
 
 
+@pytest.mark.parametrize("label", ["quad-5", "klein-quartic-a", "d12-sextic"])
+def test_decoding_reads_only_primary_keys(corpus_analyses, corpus_texts, label):
+    # coefficients, basis, disc_factorization, signature and splittings are
+    # all the decoder reads; every other key is derived from them
+    doc = _doc(corpus_analyses, corpus_texts, label)
+    for key in ("degree", "index", "disc", "alphas", "gamma", "trace_form"):
+        del doc[key]
+    assert analysis_from_document(doc) == corpus_analyses[label]
+
+
 def test_round_trip_survives_json_transport(corpus_analyses, corpus_texts):
     doc = _doc(corpus_analyses, corpus_texts, "d12-sextic")
     wire = json.loads(json.dumps(doc))

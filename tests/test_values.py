@@ -48,7 +48,8 @@ def test_every_value_type_is_immutable_and_hashable(values):
 
 
 def test_index_fields_shadow_tuple_index(values):
-    # MaximalOrder.index and FieldAnalysis.index are the integer, not the method
+    # MaximalOrder.index (a property) and FieldAnalysis.index are the
+    # integer, not the method
     assert values["MaximalOrder"].index == values["FieldAnalysis"].index
     assert isinstance(values["FieldAnalysis"].index, int)
 
@@ -65,7 +66,6 @@ def test_rebuilt_order_hits_mult_table(values):
         poly=IntPoly(list(order.poly.coeffs)),
         basis_num=tuple(tuple(row) for row in order.basis_num),
         denom=order.denom,
-        disc=order.disc,
     )
     assert rebuilt is not order
     hits = mult_table.cache_info().hits
