@@ -15,14 +15,16 @@ changes it.
 norm, add, sub, scal, mul and divmod_p are also valid modulo any integer
 m >= 2: they only reduce mod m, and divmod_p inverts the divisor's leading
 coefficient only when it is not 1. zfactor's Hensel lifting runs them mod
-p^(2^k), dividing only by monic polynomials.
+p^(2^k), dividing only by monic polynomials. mul reduces polys.product,
+the schoolbook product IntPoly also takes. An IntPoly f enters as
+norm(f.coeffs, p), and a tuple a leaves as IntPoly(a).
 """
 
 import random
 
 from .arith import is_prime
 from .errors import DegenerateInputError, InternalConsistencyError, InvalidPrimeError
-from .polys import IntPoly
+from .polys import IntPoly, product
 
 
 def norm(coeffs, p):
@@ -30,14 +32,6 @@ def norm(coeffs, p):
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
-
-
-def from_intpoly(f, p):
-    return norm(f.coeffs, p)
-
-
-def to_intpoly(a):
-    return IntPoly(list(a))
 
 
 def deg(a):
@@ -65,20 +59,8 @@ def scal(a, k, p):
     return norm([c * k for c in a], p)
 
 
-def _product(a, b):
-    """a*b with coefficients left unreduced."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                out[i + j] += c * d
-    return out
-
-
 def mul(a, b, p):
-    return norm(_product(a, b), p)
+    return norm(product(a, b), p)
 
 
 def divmod_p(a, b, p, quotient=True):
@@ -174,36 +156,27 @@ def _pth_root(a, p):
 
 
 def squarefree_decomposition(f, p):
-    """List of (monic squarefree factor, multiplicity) with product f (monic)."""
+    """List of (monic squarefree factor, multiplicity) with product monic(f),
+    sorted by (degree, coefficients) (Cohen, GTM 138, Alg. 3.4.2). Each pass
+    peels off the factors of multiplicity prime to p; what is left is a
+    polynomial in x^p, and its p-th root goes round again with the
+    multiplicity scaled by p. When f' = 0, gcd(f, f') = f and the pass
+    peels nothing."""
     out = {}
-
-    def merge(g, m):
-        if deg(g) >= 1:
-            out[g] = out.get(g, 0) + m
-
-    def rec(f, mult):
-        if deg(f) < 1:
-            return
-        d = derivative(f, p)
-        if not d:
-            for g, m in squarefree_decomposition(_pth_root(f, p), p):
-                merge(g, m * p * mult)
-            return
-        c = gcd_p(f, d, p)
+    f, mult = monic(f, p), 1
+    while deg(f) >= 1:
+        c = gcd_p(f, derivative(f, p), p)
         w = divmod_p(f, c, p)[0]
         i = 1
         while deg(w) > 0:
             y = gcd_p(w, c, p)
             z = divmod_p(w, y, p)[0]
-            merge(z, i * mult)
+            if deg(z) >= 1:
+                out[z] = out.get(z, 0) + i * mult
             w = y
             c = divmod_p(c, y, p)[0]
             i += 1
-        if deg(c) > 0:
-            for g, m in squarefree_decomposition(_pth_root(c, p), p):
-                merge(g, m * p * mult)
-
-    rec(monic(f, p), 1)
+        f, mult = _pth_root(c, p), mult * p
     return sorted(out.items(), key=lambda t: (deg(t[0]), t[0]))
 
 
@@ -271,7 +244,7 @@ def degree_blocks(f, p):
     DegenerateInputError when f vanishes mod p."""
     if not is_prime(p):
         raise InvalidPrimeError("mod-p factoring needs a prime modulus, got %r" % (p,))
-    a = from_intpoly(f, p)
+    a = norm(f.coeffs, p)
     if not a:
         raise DegenerateInputError("polynomial vanishes mod %d" % p)
     a = monic(a, p)
@@ -314,7 +287,7 @@ def split_blocks(a, blocks, p):
         if check != prod:  # pragma: no cover
             raise InternalConsistencyError("mod-p factorization failed to re-multiply")
         for irr in pieces:
-            key = to_intpoly(irr)
+            key = IntPoly(irr)
             out[key] = out.get(key, 0) + mult
     return sorted(out.items(), key=lambda t: (t[0].degree, t[0].coeffs))
 

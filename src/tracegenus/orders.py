@@ -25,7 +25,7 @@ from .errors import (
     ReducibleInputError,
 )
 from .linalg import hnf_lower, left_kernel_mod_p, solve_lower_unit
-from .polys import IntPoly, discriminant
+from .polys import IntPoly, discriminant, product
 from .zfactor import factor_over_z
 
 
@@ -116,7 +116,7 @@ def mult_table(order):
     table = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            prod = (polys[i] * polys[j]).mod_monic(order.poly)
+            prod = (polys[i] * polys[j]).divmod(order.poly)[1]
             vec = list(prod.coeffs) + [0] * (n - len(prod.coeffs))
             coords = solve_lower_unit(basis, vec)
             if coords is None:
@@ -177,19 +177,17 @@ def dedekind_is_pmaximal(f, p):
     _require_field_poly(f)
     if not is_prime(p):
         raise InvalidPrimeError("Dedekind criterion needs a prime, got %r" % (p,))
-    f_bar = modp.from_intpoly(f, p)
+    f_bar = modp.norm(f.coeffs, p)
     # g_bar is the product of the distinct irreducible factors of f_bar
     g_bar = (1,)
     for part, _ in modp.squarefree_decomposition(f_bar, p):
         g_bar = modp.mul(g_bar, part, p)
     h_bar = modp.divmod_p(f_bar, g_bar, p)[0]
-    g_lift = IntPoly([c % p for c in g_bar])
-    h_lift = IntPoly([c % p for c in h_bar])
-    prod = g_lift * h_lift
-    diff = prod - f
+    # t = (g*h - f)/p over Z, for the lifts g and h of g_bar and h_bar with
+    # coefficients in [0, p); g*h and f are both monic of degree n
     t_coeffs = []
-    for c in diff.coeffs:
-        q, r = divmod(c, p)
+    for c, a in zip(product(g_bar, h_bar), f.coeffs):
+        q, r = divmod(c - a, p)
         if r:  # pragma: no cover
             raise InternalConsistencyError("lifted product not congruent to f")
         t_coeffs.append(q)
@@ -197,9 +195,7 @@ def dedekind_is_pmaximal(f, p):
     u_bar = modp.gcd_p(modp.gcd_p(t_bar, g_bar, p), h_bar, p)
     if modp.deg(u_bar) <= 0:
         return True, []
-    enlarge = modp.divmod_p(f_bar, u_bar, p)[0]
-    witness = IntPoly([c % p for c in enlarge])
-    return False, [witness]
+    return False, [IntPoly(modp.divmod_p(f_bar, u_bar, p)[0])]
 
 
 def _require_field_poly(f):

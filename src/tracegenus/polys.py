@@ -5,7 +5,8 @@ zero polynomial has an empty coefficient tuple and degree -1. Everything here
 is pure and deterministic. gcd, resultant and Sturm count read one
 subresultant PRS (_subresultant_prs), whose intermediate coefficients stay
 polynomially bounded, rather than a determinant expansion or separate
-remainder loops.
+remainder loops. IntPoly.divmod is the one exact division and product the
+one schoolbook product, which modp shares.
 """
 
 import re
@@ -85,17 +86,7 @@ class IntPoly:
         return _coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly([other * c for c in self.coeffs])
-        other = _coerce(other)
-        if self.is_zero or other.is_zero:
-            return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(out)
+        return IntPoly(product(self.coeffs, _coerce(other).coeffs))
 
     __rmul__ = __mul__
 
@@ -108,25 +99,29 @@ class IntPoly:
     def derivative(self):
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def divmod_monic(self, g):
-        """Exact (quotient, remainder) over Z for monic g."""
-        if not g.is_monic:
-            raise ValueError("divisor must be monic")
+    def divmod(self, b):
+        """(q, r) with self = q*b + r and deg r < deg b, over Z. Raises
+        InternalConsistencyError when a leading coefficient met on the way is
+        not divisible by lc(b), which never happens for monic b."""
+        db = b.degree
+        if db < 0:
+            raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        dg = g.degree
-        if len(rem) - 1 < dg:
+        if len(rem) - 1 < db:
             return IntPoly(), self
-        quot = [0] * (len(rem) - dg)
-        for i in range(len(rem) - 1, dg - 1, -1):
+        lc = b.coeffs[-1]
+        quot = [0] * (len(rem) - db)
+        for i in range(len(rem) - 1, db - 1, -1):
             c = rem[i]
             if c:
-                quot[i - dg] = c
-                for j, gc in enumerate(g.coeffs):
-                    rem[i - dg + j] -= c * gc
-        return IntPoly(quot), IntPoly(rem[:dg])
-
-    def mod_monic(self, g):
-        return self.divmod_monic(g)[1]
+                if lc != 1:
+                    c, r = divmod(c, lc)
+                    if r:
+                        raise InternalConsistencyError("polynomial division is not exact")
+                quot[i - db] = c
+                for j, bc in enumerate(b.coeffs):
+                    rem[i - db + j] -= c * bc
+        return IntPoly(quot), IntPoly(rem[:db])
 
     def content(self):
         c = 0
@@ -158,16 +153,32 @@ def _coerce(v):
     raise TypeError("cannot coerce %r to IntPoly" % (v,))
 
 
+def product(a, b):
+    """Schoolbook product of coefficient sequences a and b (low degree
+    first) as an unreduced list, [] when either is zero. IntPoly's product
+    and modp.mul both take it."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return out
+
+
 # ---------------------------------------------------------------------------
 # parsing and printing
 
-_TERM_RE = re.compile(r"^([+-])(\d*)(?:x(?:\^(\d+))?)?$")
+_TERM_RE = re.compile(r"^([+-])([0-9]*)(?:x(?:\^([0-9]+))?)?$")
+_COEFF_RE = re.compile(r"^[+-]?[0-9]+$")
 
 
 def parse_poly(text):
     """Parse either grammar: 'c0,c1,...,cn' or symbolic like 'x^4 - 41*x^2 + 144'.
 
-    Integer coefficients only; raises ParseError otherwise.
+    Integer coefficients in ASCII digits only, and no number split by
+    whitespace or '*'; raises ParseError otherwise.
     """
     if not isinstance(text, str):
         raise ParseError("polynomial input must be a string")
@@ -175,15 +186,15 @@ def parse_poly(text):
     if not s:
         raise ParseError("empty polynomial input")
     if "," in s:
-        parts = s.split(",")
-        try:
-            coeffs = [int(p.strip()) for p in parts]
-        except ValueError:
-            raise ParseError("bad coefficient list: %r" % (text,)) from None
-        poly = IntPoly(coeffs)
+        parts = [p.strip() for p in s.split(",")]
+        if not all(_COEFF_RE.match(p) for p in parts):
+            raise ParseError("bad coefficient list: %r" % (text,))
+        poly = IntPoly([int(p) for p in parts])
         if poly.is_zero:
             raise ParseError("zero polynomial: %r" % (text,))
         return poly
+    if re.search(r"[0-9][\s*]+[0-9]", s):
+        raise ParseError("whitespace or '*' inside a number in %r" % (text,))
     compact = s.replace(" ", "").replace("\t", "").replace("*", "").lower()
     if not compact:
         raise ParseError("empty polynomial input")
@@ -249,7 +260,11 @@ def coeff_csv(f):
 # gcd / resultant / discriminant over Z
 
 def pseudo_rem(a, b):
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a modulo b, over Z."""
+    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a modulo b, over Z.
+
+    This is not IntPoly.divmod on lc(b)^(d+1) * a: scaling the remainder
+    one step at a time keeps its entries smaller than scaling a up front,
+    and the division route made discriminant and Sturm about 1.25x slower."""
     da, db = a.degree, b.degree
     if db < 0:
         raise ZeroDivisionError("pseudo_rem by zero")
@@ -361,20 +376,10 @@ def exact_quotient(a, b):
     """a / b in Z[x]. Raises InternalConsistencyError unless the division is
     exact with an integral quotient; for primitive b that is divisibility
     over Q, by Gauss's lemma."""
-    db = b.degree
-    rem = list(a.coeffs)
-    quot = [0] * max(len(rem) - db, 0)
-    for i in range(len(rem) - 1, db - 1, -1):
-        q, r = divmod(rem[i], b.lc)
-        if r:
-            raise InternalConsistencyError("polynomial division is not exact")
-        if q:
-            quot[i - db] = q
-            for j, bc in enumerate(b.coeffs):
-                rem[i - db + j] -= q * bc
-    if any(rem[:db]):
+    q, r = a.divmod(b)
+    if not r.is_zero:
         raise InternalConsistencyError("polynomial division is not exact")
-    return IntPoly(quot)
+    return q
 
 
 def sturm_count_real_roots(f):

@@ -25,6 +25,7 @@ from .errors import (
 )
 from .linalg import left_kernel_mod_p, rref_mod_p
 from .orders import _mul_mod_p, _radical_kernel, frobenius_matrix, mult_table
+from .polys import IntPoly
 
 
 class SplittingType(NamedTuple):
@@ -90,7 +91,7 @@ def _primitive_idempotents(table, p, fixed):
             powers.append(_mul_mod_p(table, powers[-1], v, p))
         min_poly = left_kernel_mod_p(powers, p)[0]
         roots = []
-        for fac, mult in modp.factor_mod_p(modp.to_intpoly(min_poly), p):
+        for fac, mult in modp.factor_mod_p(IntPoly(min_poly), p):
             if mult != 1 or fac.degree != 1:  # pragma: no cover
                 raise InternalConsistencyError("fixed element minimal polynomial not split")
             roots.append(-fac.coeffs[0] % p)

@@ -52,15 +52,6 @@ def _l2_norm_ceil(f):
     return r if r * r == s else r + 1
 
 
-def _center(c, m):
-    c %= m
-    return c - m if c > m // 2 else c
-
-
-def _centered_poly(coeffs, m):
-    return IntPoly([_center(c, m) for c in coeffs])
-
-
 def _monic_of_degree(a, d, what):
     if modp.deg(a) > d:  # pragma: no cover
         raise InternalConsistencyError("Hensel %s overflowed its degree" % what)
@@ -86,8 +77,12 @@ def _hensel_step(f, g, h, s, t, m):
 
 
 def _bezout_mod_p(g, h, p):
-    """s, t with s*g + t*h = 1 mod p, deg s < deg h, deg t < deg g."""
-    r0, r1 = modp.norm(g, p), modp.norm(h, p)
+    """s, t with s*g + t*h = 1 mod p, deg s < deg h, deg t < deg g, for
+    coprime g and h mod p of positive degree. The extended Euclidean
+    algorithm returns them within those bounds once scaled by the inverse of
+    the last remainder (von zur Gathen-Gerhard, Modern Computer Algebra,
+    ch. 3); the degree check only guards that."""
+    r0, r1 = g, h
     s0, s1 = (1,), ()
     t0, t1 = (), (1,)
     while r1:
@@ -98,14 +93,9 @@ def _bezout_mod_p(g, h, p):
     if modp.deg(r0) != 0:  # pragma: no cover
         raise InternalConsistencyError("lift factors not coprime mod p")
     inv = pow(r0[0], -1, p)
-    s = modp.scal(s0, inv, p)
-    t = modp.scal(t0, inv, p)
-    # normalize degrees: s mod h, then t = (1 - s g) / h exactly
-    s = modp.mod_p(s, modp.norm(h, p), p)
-    num = modp.sub((1,), modp.mul(s, modp.norm(g, p), p), p)
-    t, rem = modp.divmod_p(num, modp.norm(h, p), p)
-    if rem:  # pragma: no cover
-        raise InternalConsistencyError("Bezout normalization failed")
+    s, t = modp.scal(s0, inv, p), modp.scal(t0, inv, p)
+    if modp.deg(s) >= modp.deg(h) or modp.deg(t) >= modp.deg(g):  # pragma: no cover
+        raise InternalConsistencyError("Bezout coefficients exceed their degree bounds")
     return s, t
 
 
@@ -179,12 +169,10 @@ def _factor_monic_squarefree(f):
         if best is None or len(shape) < best[0]:
             best = len(shape), p, a, blocks
     _, p, a, blocks = best
-    local = [fac for fac, _ in modp.split_blocks(a, blocks, p)]
+    # split_blocks sorts its factors by (degree, coefficients)
+    local = [fac.coeffs for fac, _ in modp.split_blocks(a, blocks, p)]
     bound = 2 * (2 ** n) * _l2_norm_ceil(f) + 1
-    local_tuples = sorted(
-        (modp.from_intpoly(fac, p) for fac in local), key=lambda t: (len(t), t)
-    )
-    pieces, m = _lift_tree(f.coeffs, local_tuples, p, bound)
+    pieces, m = _lift_tree(f.coeffs, local, p, bound)
     remaining = list(range(len(pieces)))
     result = []
     current = f
@@ -195,10 +183,11 @@ def _factor_monic_squarefree(f):
             prod = (1,)
             for i in subset:
                 prod = modp.mul(prod, pieces[i], m)
-            cand = _centered_poly(prod, m)
+            # prod is reduced into [0, m); lift it to the symmetric range
+            cand = IntPoly([c - m if c > m // 2 else c for c in prod])
             if not cand.is_monic:
                 continue
-            q, r = current.divmod_monic(cand)
+            q, r = current.divmod(cand)
             if r.is_zero:
                 found = (subset, cand, q)
                 break

@@ -294,6 +294,41 @@ def power_sum_of_roots(roots, k):
 
 
 # ---------------------------------------------------------------------------
+# Tschirnhaus transformations from power traces
+
+
+def tschirnhaus(f, h):
+    """The characteristic polynomial g of h(theta), theta a root of monic f,
+    as an IntPoly (Cohen, GTM 138, §4.4): M = h(C) for the companion matrix
+    C of f acts as multiplication by h(theta) on the power basis, the power
+    traces Tr(M^k) are the power sums of the roots of g, and Newton's
+    identities k*e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) Tr(M^i) give its
+    elementary symmetric functions e_k; the divisions by k are exact."""
+    from tracegenus.polys import IntPoly
+
+    n = f.degree
+    # row i of C is x * x^i reduced mod f, in the power basis
+    companion = [[int(j == i + 1) for j in range(n)] for i in range(n - 1)]
+    companion.append([-c for c in f.coeffs[:n]])
+    m = [[0] * n for _ in range(n)]
+    power = identity_matrix(n)
+    for c in h.coeffs:
+        m = [[a + c * b for a, b in zip(row, prow)] for row, prow in zip(m, power)]
+        power = mat_mul(power, companion)
+    traces = []
+    power = identity_matrix(n)
+    for _ in range(n):
+        power = mat_mul(power, m)
+        traces.append(sum(power[i][i] for i in range(n)))
+    e = [1]
+    for k in range(1, n + 1):
+        q, r = divmod(sum((-1) ** (i - 1) * e[k - i] * traces[i - 1] for i in range(1, k + 1)), k)
+        assert r == 0, "Newton's identities left a remainder"
+        e.append(q)
+    return IntPoly([(-1) ** k * e[k] for k in range(n, -1, -1)])
+
+
+# ---------------------------------------------------------------------------
 # Gram matrix of the trace form by polynomial products
 
 
@@ -310,7 +345,7 @@ def gram_by_products(order):
     gram = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            prod = (polys[i] * polys[j]).mod_monic(order.poly)
+            prod = (polys[i] * polys[j]).divmod(order.poly)[1]
             q, r = divmod(sum(c * sums[k] for k, c in enumerate(prod.coeffs)), d2)
             if r:
                 return None
@@ -354,15 +389,16 @@ def schoolbook_pow_mod(base, e, modulus, p):
     step squares, multiplies by base on a 1 bit and reduces once, on
     coefficient lists. modp.pow_mod must agree with it bit for bit."""
     from tracegenus import modp
+    from tracegenus.polys import product
 
     if e == 0:
         return (1,)
     base = modp.mod_p(base, modulus, p)
     h = base
     for bit in bin(e)[3:]:
-        h = modp._product(h, h)
+        h = product(h, h)
         if bit == "1":
-            h = modp._product(h, base)
+            h = product(h, base)
         h = modp.mod_p(h, modulus, p)
     return h
 

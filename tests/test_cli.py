@@ -17,6 +17,7 @@ import time
 import pytest
 
 import tracegenus.cli as cli
+from test_polys import MISREAD_NUMBERS
 from tracegenus.polys import parse_poly
 from tracegenus.report import canonical_bytes
 
@@ -72,6 +73,13 @@ def test_analyze_parse_error_exit_2(capsys):
     assert doc["schema"] == "tracegenus/error/v1"
     assert doc["error"]["type"] == "ParseError"
     assert "error:" in err
+
+
+def test_analyze_misread_numbers_exit_2(capsys):
+    for text in MISREAD_NUMBERS:
+        code, out, _ = run_cli(capsys, "analyze", text, "--no-cache")
+        assert code == 2, text
+        assert json.loads(out)["error"]["type"] == "ParseError", text
 
 
 def test_analyze_reducible_exit_3(capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import schoolbook_pow_mod
 from tracegenus import modp
 from tracegenus.errors import DegenerateInputError, InvalidPrimeError
-from tracegenus.polys import parse_poly
+from tracegenus.polys import IntPoly, parse_poly, product
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 # 2^31 - 1, 10^12 + 39, a 22-digit prime and 10^18 + 3
@@ -77,7 +77,7 @@ def test_mod_p_of_unreduced_products(da, db, seed, p):
     # and whose leading coefficient may vanish mod p
     a = random_tuple_poly(p, da, seed)
     b = random_tuple_poly(p, db, seed + 1)
-    raw = modp._product(a, a) + [p * (seed % 3)]
+    raw = product(a, a) + [p * (seed % 3)]
     assert modp.mod_p(raw, b, p) == modp.divmod_p(modp.norm(raw, p), b, p)[1]
 
 
@@ -165,7 +165,7 @@ def test_factor_degrees_is_the_shape_of_factor_mod_p(d, seed, p):
     a = random_tuple_poly(p, d, seed)
     # a square factor, so the squarefree split has work to do
     b = random_tuple_poly(p, rng.randint(1, 2), seed + 5)
-    f = modp.to_intpoly(modp.mul(modp.mul(a, b, p), b, p))
+    f = IntPoly(modp.mul(modp.mul(a, b, p), b, p))
     assert modp.factor_degrees(f, p) == shape_of(f, p)
 
 
@@ -175,7 +175,7 @@ def test_factor_degrees_of_inseparable_inputs(da, db, seed, p):
     g = random_tuple_poly(p, da, seed)
     gxp = tuple(c if i % p == 0 else 0 for i in range(p * da + 1) for c in [g[i // p]])
     f = modp.mul(gxp, random_tuple_poly(p, db, seed + 1), p) if db else gxp
-    f = modp.to_intpoly(f)
+    f = IntPoly(f)
     assert modp.factor_degrees(f, p) == shape_of(f, p)
 
 
@@ -187,7 +187,7 @@ def test_factor_degrees_counts_roots(p):
         a = random_tuple_poly(p, rng.randint(1, 5), rng.randrange(2**30))
         b = random_tuple_poly(p, rng.randint(1, 3), rng.randrange(2**30))
         for g, _ in modp.squarefree_decomposition(modp.mul(modp.mul(a, b, p), b, p), p):
-            linear = sum(d == 1 for d, _ in modp.factor_degrees(modp.to_intpoly(g), p))
+            linear = sum(d == 1 for d, _ in modp.factor_degrees(IntPoly(g), p))
             roots = sum(sum(c * x**k for k, c in enumerate(g)) % p == 0 for x in range(p))
             assert linear == roots
 
@@ -202,31 +202,31 @@ def test_factor_degrees_errors():
 
 @given(st.integers(2, 7), st.integers(0, 2**30), st.sampled_from(SMALL_PRIMES))
 def test_factor_mod_p_reconstructs(d, seed, p):
-    f = modp.to_intpoly(random_tuple_poly(p, d, seed))
+    f = IntPoly(random_tuple_poly(p, d, seed))
     factors = modp.factor_mod_p(f, p)
     prod = (1,)
     for g, mult in factors:
-        gp = modp.from_intpoly(g, p)
+        gp = modp.norm(g.coeffs, p)
         assert modp.deg(gp) >= 1
         assert gp[-1] == 1  # monic
         for _ in range(mult):
             prod = modp.mul(prod, gp, p)
-    assert prod == modp.monic(modp.from_intpoly(f, p), p)
+    assert prod == modp.monic(modp.norm(f.coeffs, p), p)
     assert sum(g.degree * m for g, m in factors) == d
 
 
 @given(st.integers(1, 4), st.integers(0, 2**30), st.sampled_from([2, 3, 5]))
 def test_factor_mod_p_factors_are_irreducible(d, seed, p):
-    f = modp.to_intpoly(random_tuple_poly(p, d, seed))
+    f = IntPoly(random_tuple_poly(p, d, seed))
     for g, _ in modp.factor_mod_p(f, p):
-        gp = modp.from_intpoly(g, p)
+        gp = modp.norm(g.coeffs, p)
         assert brute_irreducible(gp, p)
         assert modp.factor_mod_p(g, p) == [(g, 1)]
 
 
 @given(st.integers(2, 6), st.integers(0, 2**30), st.sampled_from(SMALL_PRIMES))
 def test_factor_mod_p_is_deterministic(d, seed, p):
-    f = modp.to_intpoly(random_tuple_poly(p, d, seed))
+    f = IntPoly(random_tuple_poly(p, d, seed))
     assert modp.factor_mod_p(f, p) == modp.factor_mod_p(f, p)
 
 
@@ -270,21 +270,47 @@ def test_is_irreducible_mod_p_knowns():
     assert shape("x^2 - 1", 7) == [(1, 1), (1, 1)]
 
 
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**30), st.sampled_from([2, 3, 5]))
-def test_squarefree_decomposition(da, db, seed, p):
+def power(a, k, p):
+    out = (1,)
+    for _ in range(k):
+        out = modp.mul(out, a, p)
+    return out
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 2),
+    st.integers(0, 2**30),
+    st.sampled_from([2, 3, 5]),
+)
+def test_squarefree_decomposition(da, db, dc, seed, p):
     a = random_tuple_poly(p, da, seed)
     b = random_tuple_poly(p, db, seed + 11)
-    f = modp.monic(modp.mul(modp.mul(a, b, p), b, p), p)  # a * b^2
-    parts = modp.squarefree_decomposition(f, p)
-    prod = (1,)
-    for g, mult in parts:
-        for _ in range(mult):
-            prod = modp.mul(prod, g, p)
-        # each part is squarefree: gcd with derivative is constant
-        der = modp.derivative(g, p)
-        if modp.deg(der) >= 0 and modp.deg(g) >= 1:
-            assert modp.deg(modp.gcd_p(g, der, p)) <= 0
-    assert prod == f
+    c = random_tuple_poly(p, dc, seed + 22)
+    # a * b^2, and a * b^p * c^(p^2), which takes two p-th roots
+    a_b2 = modp.mul(a, power(b, 2, p), p)
+    a_bp_cpp = modp.mul(modp.mul(a, power(b, p, p), p), power(c, p * p, p), p)
+    for f in (a_b2, a_bp_cpp):
+        f = modp.monic(f, p)
+        parts = modp.squarefree_decomposition(f, p)
+        prod = (1,)
+        for g, mult in parts:
+            prod = modp.mul(prod, power(g, mult, p), p)
+            # each part is squarefree: gcd with derivative is constant
+            der = modp.derivative(g, p)
+            if modp.deg(der) >= 0 and modp.deg(g) >= 1:
+                assert modp.deg(modp.gcd_p(g, der, p)) <= 0
+        assert prod == f
+        for i, (g, _) in enumerate(parts):
+            for h, _ in parts[i + 1 :]:
+                assert modp.gcd_p(g, h, p) == (1,)
+
+
+def test_squarefree_decomposition_frozen_value():
+    # (x+1)^4 * (x^2+x+1)^2 over F_2: f' = 0, so the whole of f is a square
+    f = modp.mul(power((1, 1), 4, 2), power((1, 1, 1), 2, 2), 2)
+    assert modp.squarefree_decomposition(f, 2) == [((1, 1), 4), ((1, 1, 1), 2)]
 
 
 def test_factor_mod_p_rejects_composite_modulus():

@@ -100,15 +100,15 @@ def test_order_is_multiplicatively_closed():
     d = mo.order.denom
     for wi in basis:
         for wj in basis:
-            assert (wi * wj).mod_monic(mo.poly) is not None
-            assert in_order(mo.order, (wi * wj).mod_monic(mo.poly), d * d)
+            assert (wi * wj).divmod(mo.poly)[1] is not None
+            assert in_order(mo.order, (wi * wj).divmod(mo.poly)[1], d * d)
     # the structure constants give every product, the mirrored half too:
     # basis rows are numerators over d, so d * sum(c_k * w_k) is w_i * w_j
     table = mult_table(mo.order)
     for i, wi in enumerate(basis):
         for j, wj in enumerate(basis):
             combo = sum((IntPoly([d * c]) * wk for c, wk in zip(table[i][j], basis)), IntPoly([0]))
-            assert combo == (wi * wj).mod_monic(mo.poly), (i, j)
+            assert combo == (wi * wj).divmod(mo.poly)[1], (i, j)
 
 
 def test_mult_table_refuses_a_lattice_that_is_no_ring():
@@ -175,8 +175,8 @@ def test_dedekind_squarefree_parts_match_factor_mod_p(corpus_records, monkeypatc
         ramified = [p for p, _ in factor_integer(discriminant(f)).factors]
         for p in sorted(set(ramified) | {2, 3, 5, 7}):
             cases.append((f, p, dedekind_is_pmaximal(f, p)))
-            factored[modp.from_intpoly(f, p), p] = [
-                (modp.from_intpoly(g, p), m) for g, m in modp.factor_mod_p(f, p)
+            factored[modp.norm(f.coeffs, p), p] = [
+                (modp.norm(g.coeffs, p), m) for g, m in modp.factor_mod_p(f, p)
             ]
 
     monkeypatch.setattr(modp, "squarefree_decomposition", lambda f_bar, p: factored[f_bar, p])

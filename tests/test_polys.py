@@ -43,11 +43,25 @@ def polys(min_degree=1, max_degree=5, coeff=st.integers(-30, 30)):
 # parsing and printing
 
 
+# whitespace inside a number, non-ASCII digits and '_' were once read as
+# part of a number: "x^2 + 1 2" as x^2 + 12, "1_0,0,1" as x^2 + 10
+MISREAD_NUMBERS = (
+    "x^2 + 1 2",
+    "x^1 0 + 1",
+    "1 0*x + 1",
+    "\u0967x+1",
+    "x^\u0662+1",
+    "1_0,0,1",
+    "1,0 1",
+)
+
+
 def test_parse_expression_forms():
     f = parse_poly("x^4 - 41*x^2 + 144")
     assert f.coeffs == (144, 0, -41, 0, 1)
     assert parse_poly("x^4-41x^2+144") == f  # implicit multiplication
     assert parse_poly("144 - 41 x^2 + x^4") == f  # any term order
+    assert parse_poly("x ^ 4 - 41 * x ^ 2 + 144") == f  # blanks between tokens
     assert parse_poly("X^4 - 41X^2 + 144") == f  # case-insensitive variable
 
 
@@ -55,10 +69,12 @@ def test_parse_coefficient_csv():
     f = parse_poly("144,0,-41,0,1")  # low-to-high
     assert f == parse_poly("x^4 - 41*x^2 + 144")
     assert parse_poly("-1,-1,0,1") == parse_poly("x^3 - x - 1")
+    assert parse_poly(" 144, 0 ,-41,0, 1 ") == f
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "   ", "x^2 -", "x^-1", "x^2 + 1/2", "2,x", "y^2 - 1", "x**2"):
+    garbage = ("", "   ", "x^2 -", "x^-1", "x^2 + 1/2", "2,x", "y^2 - 1", "x**2", "x^2*2")
+    for bad in garbage + MISREAD_NUMBERS:
         with pytest.raises(ParseError):
             parse_poly(bad)
 
@@ -85,8 +101,11 @@ def test_poly_basics():
     assert f.derivative() == poly(-1, 0, 3)
     assert poly(4, 6).content() == 2
     assert poly(4, 6).primitive() == (2, poly(2, 3))
-    q, r = poly(1, 0, 0, 1).divmod_monic(poly(1, 1))  # x^3+1 = (x^2-x+1)(x+1)
+    q, r = poly(1, 0, 0, 1).divmod(poly(1, 1))  # x^3+1 = (x^2-x+1)(x+1)
     assert q == poly(1, -1, 1) and r.is_zero
+    assert poly(1, 2).divmod(poly(0, 0, 1)) == (IntPoly(), poly(1, 2))
+    with pytest.raises(InternalConsistencyError):
+        poly(1, 1).divmod(poly(1, 2))  # quotient 1/2
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +176,10 @@ def is_squarefree(f):
 def test_exact_quotient_inverts_multiplication(a, b):
     b = b.primitive()[1]
     assert exact_quotient(a * b, b) == a
+    # a remainder of lower degree comes back as it went in; 2b is not monic
+    r0 = IntPoly(a.coeffs[: b.degree])
+    for d in (b, 2 * b):
+        assert (a * d + r0).divmod(d) == (a, r0)
 
 
 def test_exact_quotient_hand_values():

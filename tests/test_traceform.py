@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,10 +12,12 @@ from helpers import (
     gram_by_products,
     jordan_symbol,
     power_sum_of_roots,
+    tschirnhaus,
 )
 from tracegenus.errors import InvalidPrimeError, OutOfDomainError, WildRamificationError
+from tracegenus.genus import NOT_APPLICABLE, SAME, compare_spinor_genus
 from tracegenus.orders import equation_order, maximal_order
-from tracegenus.polys import IntPoly, parse_poly, poly_gcd
+from tracegenus.polys import IntPoly, discriminant, parse_poly, poly_gcd
 from tracegenus.splitting import SplittingType
 from tracegenus.traceform import (
     alpha_invariant,
@@ -246,6 +250,38 @@ def test_same_genus_pairs_share_odd_jordan_symbols(corpus_analyses, left, right)
     fa, fb = corpus_analyses[left], corpus_analyses[right]
     assert fa.disc == fb.disc
     assert _odd_jordan_differences(fa, fb) == []
+
+
+# ---------------------------------------------------------------------------
+# Tschirnhaus invariance: g, the characteristic polynomial of h(theta),
+# defines the same field as f when it is squarefree, so every invariant of
+# the field must come out equal
+
+
+def test_tschirnhaus_transforms_keep_every_invariant(corpus_records, corpus_analyses):
+    # 20 fields, one h each, redrawn only when g is not squarefree: the
+    # sample is sized by its count, never by how long a record takes
+    rng = random.Random(20261019)
+    for rec in rng.sample(corpus_records, 20):
+        f = parse_poly(rec.text)
+        while True:
+            h = IntPoly([rng.randint(-2, 2) for _ in range(f.degree)])
+            g = tschirnhaus(f, h)
+            if discriminant(g) != 0:
+                break
+        fa, ga = corpus_analyses[rec.label], analyze_field(g)
+        where = (rec.label, str(h), str(g))
+        assert ga.disc == fa.disc and ga.signature == fa.signature, where
+        assert ga.disc_factored == fa.disc_factored, where
+        assert ga.splittings == fa.splittings, where
+        legendre = [[(a.p, a.legendre) for a in x.alphas] for x in (fa, ga)]
+        assert legendre[0] == legendre[1], where
+        assert ga.gamma == fa.gamma, where
+        assert ga.trace_form.det == fa.trace_form.det, where
+        assert ga.trace_form.signature == fa.trace_form.signature, where
+        assert _odd_jordan_differences(fa, ga) == [], where
+        applies = f.degree >= 3 and fa.gamma.is_tame
+        assert compare_spinor_genus(fa, ga).verdict == (SAME if applies else NOT_APPLICABLE), where
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helpers import is_eisenstein_at, quadratic_is_irreducible
@@ -153,6 +155,25 @@ def test_lift_tree_pieces_multiply_to_f_and_reduce_to_local_factors(lifts):
         prod = modp.mul(prod, piece, m)
     assert prod == modp.norm(f.coeffs, m)
     assert [modp.norm(piece, p) for piece in pieces] == local
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.integers(0, 2**30),
+    st.sampled_from([2, 3, 5, 7, 101]),
+)
+def test_bezout_mod_p_is_within_the_degree_bounds(dg, dh, seed, p):
+    # the pair drawn once each way round: deg g < deg h and deg g > deg h
+    assume(dg != dh)
+    rng = random.Random(seed)
+    g = modp.norm([rng.randrange(p) for _ in range(dg)] + [1], p)
+    h = modp.norm([rng.randrange(p) for _ in range(dh)] + [1], p)
+    assume(modp.gcd_p(g, h, p) == (1,))
+    for g, h in ((g, h), (h, g)):
+        s, t = zfactor._bezout_mod_p(g, h, p)
+        assert modp.add(modp.mul(s, g, p), modp.mul(t, h, p), p) == (1,)
+        assert modp.deg(s) < modp.deg(h) and modp.deg(t) < modp.deg(g)
 
 
 def test_degree_analysis_keeps_true_factors():
