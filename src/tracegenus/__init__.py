@@ -57,7 +57,6 @@ _HOMES = {  # home module -> the public names it defines
         "classify_gamma",
         "disc_square_class",
         "field_signature",
-        "form_signature",
         "gram_matrix",
         "power_sums",
         "verify_alpha_formula",

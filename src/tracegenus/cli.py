@@ -424,9 +424,7 @@ def _positive_int(text):
 
 
 def _add_common_flags(sub):
-    fmt = sub.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON output (default)")
-    fmt.add_argument("--human", action="store_true", help="human-readable output")
+    sub.add_argument("--human", action="store_true", help="human-readable output (default: JSON)")
     sub.add_argument("--no-cache", action="store_true", help="bypass the cache")
     sub.add_argument(
         "--cache-dir",

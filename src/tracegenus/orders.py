@@ -292,7 +292,7 @@ def maximal_order(f):
     single lattice join. Degree 1 is accepted (the order is Z).
     """
     _require_field_poly(f)
-    const, factors = factor_over_z(f)
+    factors = factor_over_z(f)
     if len(factors) != 1 or factors[0][1] != 1:
         raise ReducibleInputError(
             "polynomial is reducible: %s" % (f,),

@@ -5,8 +5,9 @@ zero polynomial has an empty coefficient tuple and degree -1. Everything here
 is pure and deterministic. gcd, resultant and Sturm count read one
 subresultant PRS (_subresultant_prs), whose intermediate coefficients stay
 polynomially bounded, rather than a determinant expansion or separate
-remainder loops. IntPoly.divmod is the one exact division and product the
-one schoolbook product, which modp shares.
+remainder loops. IntPoly.divmod is the one exact division, by a monic
+divisor, and product the one schoolbook product, which modp shares; the
+PRS takes general input through pseudo_rem, as f' is not monic.
 """
 
 import re
@@ -100,24 +101,18 @@ class IntPoly:
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def divmod(self, b):
-        """(q, r) with self = q*b + r and deg r < deg b, over Z. Raises
-        InternalConsistencyError when a leading coefficient met on the way is
-        not divisible by lc(b), which never happens for monic b."""
+        """(q, r) with self = q*b + r and deg r < deg b, for a monic b, so
+        q and r are integral. Raises OutOfDomainError for any other b."""
+        if not b.is_monic:
+            raise OutOfDomainError("polynomial division needs a monic divisor: %s" % (b,))
         db = b.degree
-        if db < 0:
-            raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         if len(rem) - 1 < db:
             return IntPoly(), self
-        lc = b.coeffs[-1]
         quot = [0] * (len(rem) - db)
         for i in range(len(rem) - 1, db - 1, -1):
             c = rem[i]
             if c:
-                if lc != 1:
-                    c, r = divmod(c, lc)
-                    if r:
-                        raise InternalConsistencyError("polynomial division is not exact")
                 quot[i - db] = c
                 for j, bc in enumerate(b.coeffs):
                     rem[i - db + j] -= c * bc
@@ -262,9 +257,9 @@ def coeff_csv(f):
 def pseudo_rem(a, b):
     """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a modulo b, over Z.
 
-    This is not IntPoly.divmod on lc(b)^(d+1) * a: scaling the remainder
-    one step at a time keeps its entries smaller than scaling a up front,
-    and the division route made discriminant and Sturm about 1.25x slower."""
+    b is f' or a member of its PRS, not monic in general, so this is its
+    own loop rather than IntPoly.divmod; scaling the remainder one step at
+    a time keeps its entries smaller than scaling a up front."""
     da, db = a.degree, b.degree
     if db < 0:
         raise ZeroDivisionError("pseudo_rem by zero")
@@ -373,9 +368,8 @@ def discriminant(f):
 
 
 def exact_quotient(a, b):
-    """a / b in Z[x]. Raises InternalConsistencyError unless the division is
-    exact with an integral quotient; for primitive b that is divisibility
-    over Q, by Gauss's lemma."""
+    """a / b in Z[x] for a monic b. Raises InternalConsistencyError unless b
+    divides a, and OutOfDomainError (from IntPoly.divmod) for a non-monic b."""
     q, r = a.divmod(b)
     if not r.is_zero:
         raise InternalConsistencyError("polynomial division is not exact")

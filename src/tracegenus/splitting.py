@@ -17,12 +17,7 @@ from typing import NamedTuple
 
 from . import modp
 from .arith import is_prime
-from .errors import (
-    InternalConsistencyError,
-    InvalidPrimeError,
-    OutOfDomainError,
-    WildRamificationError,
-)
+from .errors import InternalConsistencyError, InvalidPrimeError, WildRamificationError
 from .linalg import left_kernel_mod_p, rref_mod_p
 from .orders import _mul_mod_p, _radical_kernel, frobenius_matrix, mult_table
 from .polys import IntPoly
@@ -114,27 +109,22 @@ def _rank(rows, p):
     return len(rref_mod_p(rows, p)[0])
 
 
-def split_prime(max_order, p, method="auto"):
-    """SplittingType of p in the given MaximalOrder.
-
-    method selects the route: "auto" uses the mod-p factorization shape of
-    the defining polynomial whenever p does not divide the index and falls
-    back to the quotient-algebra decomposition otherwise; "polynomial" and
-    "algebra" force one route (the former is only valid when p is prime to
-    the index).
-    """
+def split_prime(max_order, p):
+    """SplittingType of p in the given MaximalOrder: the mod-p factorization
+    shape of the defining polynomial when p does not divide the index, the
+    quotient-algebra decomposition (algebra_splitting) otherwise."""
     if not is_prime(p):
         raise InvalidPrimeError("split_prime needs a prime, got %r" % (p,))
-    if method not in ("auto", "polynomial", "algebra"):
-        raise ValueError("unknown method %r" % (method,))
-    f = max_order.poly
+    if max_order.index % p:
+        return _shape_from_modp_factors(p, modp.factor_degrees(max_order.poly, p))
+    return algebra_splitting(max_order, p)
+
+
+def algebra_splitting(max_order, p):
+    """SplittingType of the prime p read from A = O/pO alone, valid at every
+    p; split_prime takes it where p divides the index, and tests compare it
+    with the mod-p shape elsewhere."""
     n = max_order.degree
-    if method == "polynomial" and max_order.index % p == 0:
-        raise OutOfDomainError(
-            "mod-%d polynomial shape is unreliable: %d divides the index" % (p, p)
-        )
-    if method != "algebra" and max_order.index % p != 0:
-        return _shape_from_modp_factors(p, modp.factor_degrees(f, p))
     table = mult_table(max_order.order)
     frob = frobenius_matrix(table, p)
     fixed = left_kernel_mod_p(

@@ -80,13 +80,7 @@ class TraceForm(NamedTuple):
     @classmethod
     def of_order(cls, order):
         gram = gram_matrix(order)
-        return cls(gram=gram, det=det_bareiss(gram), signature=form_signature(gram))
-
-
-def form_signature(gram):
-    """(positive, negative) inertia counts of a nonsingular symmetric integer
-    matrix, by exact congruence diagonalization."""
-    return signature_of_symmetric(gram)
+        return cls(gram=gram, det=det_bareiss(gram), signature=signature_of_symmetric(gram))
 
 
 def field_signature(f):

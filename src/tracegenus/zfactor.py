@@ -5,9 +5,11 @@ degrees at up to 5 good primes, tried from 2 up (at 2 distinct-degree
 splitting costs almost nothing); when no proper factor degree is allowed by
 all of them, f is irreducible and nothing is lifted. Otherwise the lift runs
 at the good prime with the fewest local factors, the first on a tie.
-Non-monic input is routed through the classical monicizing substitution
-F(x) = lc^(deg-1) * f(x/lc). The lift and the recombination use modp's
-arithmetic modulo p^(2^k).
+The lift and the recombination use modp's arithmetic modulo p^(2^k).
+
+Input is monic, as a defining polynomial of Q(theta) with theta integral
+is: every factor over Z is then monic (Gauss), so each exact division is by
+a monic polynomial and no content or leading coefficient is split off.
 """
 
 from itertools import chain, combinations, count
@@ -15,19 +17,20 @@ from math import isqrt
 
 from . import modp
 from .arith import is_prime
-from .errors import DegenerateInputError, InternalConsistencyError
+from .errors import DegenerateInputError, InternalConsistencyError, NonMonicInputError
 from .polys import IntPoly, exact_quotient, poly_gcd
 
 _LIFT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
 
 
 def yun_squarefree(f):
-    """[(primitive squarefree factor, multiplicity)] for primitive f, char 0."""
+    """[(monic squarefree factor, multiplicity)] for monic f, char 0."""
     d = f.derivative()
     g = poly_gcd(f, d)
     if g.degree == 0:
-        return [(f.primitive()[1], 1)]
-    # every divisor below is primitive, so each quotient is integral (Gauss)
+        return [(f, 1)]
+    # every divisor below is a primitive factor of the monic f, so it is
+    # monic too (Gauss) and each quotient is integral
     c = exact_quotient(f, g)
     z = exact_quotient(d, g) - c.derivative()
     out = []
@@ -185,8 +188,6 @@ def _factor_monic_squarefree(f):
                 prod = modp.mul(prod, pieces[i], m)
             # prod is reduced into [0, m); lift it to the symmetric range
             cand = IntPoly([c - m if c > m // 2 else c for c in prod])
-            if not cand.is_monic:
-                continue
             q, r = current.divmod(cand)
             if r.is_zero:
                 found = (subset, cand, q)
@@ -203,59 +204,34 @@ def _factor_monic_squarefree(f):
     return sorted(result, key=lambda g: (g.degree, g.coeffs))
 
 
-def _factor_squarefree_primitive(f):
-    """Irreducible primitive factors (positive lc) of a squarefree primitive f."""
-    if f.degree == 1:
-        return [f]
-    l = f.lc
-    if l == 1:
-        return _factor_monic_squarefree(f)
-    if l < 0:  # primitive parts here always have positive lc
-        raise InternalConsistencyError("negative leading coefficient")
-    # F(x) = l^(n-1) f(x/l) is monic with integer coefficients
-    n = f.degree
-    F = IntPoly([f.coeffs[i] * l ** (n - 1 - i) for i in range(n)] + [1])
-    out = []
-    residual = f
-    for G in _factor_monic_squarefree(F):
-        g = IntPoly([G.coeffs[i] * l ** i for i in range(len(G.coeffs))]).primitive()[1]
-        out.append(g)
-        try:
-            residual = exact_quotient(residual, g)
-        except InternalConsistencyError:  # pragma: no cover
-            raise InternalConsistencyError("monicizing substitution lost a factor") from None
-    return sorted(out, key=lambda g: (g.degree, g.coeffs))
-
-
 def factor_over_z(f):
-    """Complete factorization over Z.
+    """Complete factorization over Z of a monic f of positive degree.
 
-    Returns (constant, [(irreducible primitive factor, multiplicity), ...])
-    with constant * product(factor^mult) == f exactly. Factors have positive
-    leading coefficients and are sorted by (degree, coefficients).
+    Returns [(irreducible monic factor, multiplicity), ...] with
+    product(factor^mult) == f exactly, sorted by (degree, coefficients).
+    Raises DegenerateInputError for a constant (zero included) and
+    NonMonicInputError for any other non-monic f.
     """
-    if f.is_zero:
-        raise DegenerateInputError("cannot factor the zero polynomial")
-    if f.degree == 0:
-        return f.coeffs[0], []
-    const, prim = f.primitive()
+    if f.degree < 1:
+        raise DegenerateInputError("cannot factor a constant polynomial: %s" % (f,))
+    if not f.is_monic:
+        raise NonMonicInputError("factor_over_z needs a monic polynomial: %s" % (f,))
     out = {}
-    for part, mult in yun_squarefree(prim):
-        for irr in _factor_squarefree_primitive(part):
+    for part, mult in yun_squarefree(f):
+        for irr in _factor_monic_squarefree(part):
             out[irr] = out.get(irr, 0) + mult
     factors = sorted(out.items(), key=lambda t: (t[0].degree, t[0].coeffs))
-    check = IntPoly([const])
+    check = IntPoly([1])
     for g, m in factors:
         for _ in range(m):
             check = check * g
     if check != f:  # pragma: no cover
         raise InternalConsistencyError("factorization failed to re-multiply")
-    return const, factors
+    return factors
 
 
 def is_irreducible(f):
-    """True for polynomials irreducible over Q (degree >= 1)."""
-    if f.degree < 1:
-        return False
-    const, factors = factor_over_z(f)
+    """True when the monic f is irreducible over Q; raises as factor_over_z
+    does on a constant or a non-monic f."""
+    factors = factor_over_z(f)
     return len(factors) == 1 and factors[0][1] == 1

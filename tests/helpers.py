@@ -152,6 +152,21 @@ def _poly_mul(a, b):
     return out
 
 
+def quotient_over_q(a, b):
+    """a / b over Q by long division on Fractions, for coefficient sequences
+    (low degree first) with b != 0; asserts that b divides a."""
+    rem = [Fraction(c) for c in a]
+    db = len(b) - 1
+    quot = [Fraction(0)] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i] / b[-1]
+        quot[i - db] = c
+        for j, bc in enumerate(b):
+            rem[i - db + j] -= c * bc
+    assert not any(rem), "b does not divide a over Q"
+    return quot
+
+
 def _eval_frac(coeffs, x):
     acc = Fraction(0)
     for c in reversed(coeffs):

@@ -23,7 +23,7 @@ from tracegenus.genus import (
 )
 from tracegenus.polys import parse_poly
 from tracegenus.report import canonical_bytes
-from tracegenus.splitting import split_prime
+from tracegenus.splitting import algebra_splitting, split_prime
 from tracegenus.traceform import analyze_field, disc_square_class, verify_alpha_formula
 
 KLEIN_A = "x^4 - 41*x^2 + 144"
@@ -100,8 +100,8 @@ def test_criterion_03_d12_sextic_profile():
         # (x + 7)^2 (x^2 - 8x + 11)^2 gives the shape; both routes must agree
         assert fa.index == 187
         assert fa.splitting_at(23).pairs == ((2, 1), (2, 2))
-        for method in ("polynomial", "algebra"):
-            assert split_prime(fa.max_order, 23, method=method).pairs == ((2, 1), (2, 2))
+        assert split_prime(fa.max_order, 23).pairs == ((2, 1), (2, 2))
+        assert algebra_splitting(fa.max_order, 23).pairs == ((2, 1), (2, 2))
         # 23 is homogeneous with odd n/e = 3 but has g = 2 primes above it,
         # so it fails the conjunction and is the single exceptional prime
         assert fa.gamma.is_gamma
@@ -186,8 +186,8 @@ def test_criterion_07_splitting_route_agreement(corpus_pass):
             mo = fa.max_order
             for st in fa.splittings:
                 if fa.index % st.p != 0:
-                    shape = split_prime(mo, st.p, method="polynomial")
-                    if shape.pairs != split_prime(mo, st.p, method="algebra").pairs:
+                    shape = split_prime(mo, st.p)
+                    if shape.pairs != algebra_splitting(mo, st.p).pairs:
                         mismatches.append((label, st.p))
                 if st.is_tame:
                     v = mo.disc_factored.valuation(st.p)

@@ -66,6 +66,14 @@ def test_analyze_human_output(capsys, tmp_path):
     assert "gamma" in out
 
 
+def test_json_is_the_default_and_takes_no_flag(capsys):
+    # JSON needs no flag, so there is none: --json is an unknown argument
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", KLEIN_A, "--json", "--no-cache"])
+    assert exc.value.code == 2
+    assert "--json" in capsys.readouterr().err
+
+
 def test_analyze_parse_error_exit_2(capsys):
     code, out, err = run_cli(capsys, "analyze", "x^2 -", "--no-cache")
     assert code == 2
@@ -530,7 +538,7 @@ def test_every_public_name_resolves_to_its_home_module(repo_root):
         "star = {}\n"
         "exec('from tracegenus import *', star)\n"
         "del star['__builtins__']\n"
-        "assert sorted(star) == tracegenus.__all__ and len(star) == 55, sorted(star)\n"
+        "assert sorted(star) == tracegenus.__all__ and len(star) == 54, sorted(star)\n"
         "for home, names in tracegenus._HOMES.items():\n"
         "    module = importlib.import_module('tracegenus.' + home)\n"
         "    for name in names:\n"

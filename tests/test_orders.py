@@ -20,7 +20,7 @@ from tracegenus.orders import (
     pmaximalize,
 )
 from tracegenus.polys import IntPoly, discriminant, parse_poly
-from tracegenus.splitting import split_prime
+from tracegenus.splitting import algebra_splitting, split_prime
 
 # (label, polynomial, index, field disc): quartets pinned by hand
 KNOWN_FIELDS = [
@@ -217,8 +217,8 @@ def test_degree_one_field():
         assert mo.disc == 1 and mo.index == 1 and mo.degree == 1
         assert mo.disc_factored.factors == ()
         for p in (2, 3, 7, 101):
-            for method in ("auto", "polynomial", "algebra"):
-                assert split_prime(mo, p, method=method).pairs == ((1, 1),)
+            assert split_prime(mo, p).pairs == ((1, 1),)
+            assert algebra_splitting(mo, p).pairs == ((1, 1),)
 
 
 def test_rejects_bad_inputs():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import count_real_roots, sylvester_disc, sylvester_resultant
+from helpers import count_real_roots, quotient_over_q, sylvester_disc, sylvester_resultant
 import tracegenus.polys as polys_module
 from tracegenus.errors import (
     DegenerateInputError,
@@ -104,8 +104,9 @@ def test_poly_basics():
     q, r = poly(1, 0, 0, 1).divmod(poly(1, 1))  # x^3+1 = (x^2-x+1)(x+1)
     assert q == poly(1, -1, 1) and r.is_zero
     assert poly(1, 2).divmod(poly(0, 0, 1)) == (IntPoly(), poly(1, 2))
-    with pytest.raises(InternalConsistencyError):
-        poly(1, 1).divmod(poly(1, 2))  # quotient 1/2
+    for divisor in (poly(1, 2), IntPoly()):  # 2*x + 1 and zero are not monic
+        with pytest.raises(OutOfDomainError):
+            poly(1, 1).divmod(divisor)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +166,11 @@ def test_gcd_of_known_common_factor():
 
 
 def squarefree_part(f):
-    return exact_quotient(f, poly_gcd(f, f.derivative()))
+    """f / gcd(f, f') by division over Q, so f need not be monic; the
+    quotient is integral by Gauss's lemma."""
+    q = quotient_over_q(f.coeffs, poly_gcd(f, f.derivative()).coeffs)
+    assert all(c.denominator == 1 for c in q)
+    return IntPoly(int(c) for c in q)
 
 
 def is_squarefree(f):
@@ -174,12 +179,11 @@ def is_squarefree(f):
 
 @given(polys(max_degree=3, coeff=st.integers(-9, 9)), polys(max_degree=3, coeff=st.integers(-9, 9)))
 def test_exact_quotient_inverts_multiplication(a, b):
-    b = b.primitive()[1]
+    b = IntPoly(b.coeffs[:-1] + (1,))  # divmod takes a monic divisor
     assert exact_quotient(a * b, b) == a
-    # a remainder of lower degree comes back as it went in; 2b is not monic
+    # a remainder of lower degree comes back as it went in
     r0 = IntPoly(a.coeffs[: b.degree])
-    for d in (b, 2 * b):
-        assert (a * d + r0).divmod(d) == (a, r0)
+    assert (a * b + r0).divmod(b) == (a, r0)
 
 
 def test_exact_quotient_hand_values():
@@ -192,8 +196,8 @@ def test_exact_quotient_hand_values():
     assert exact_quotient(IntPoly(), g).is_zero
     with pytest.raises(InternalConsistencyError):
         exact_quotient(parse_poly("x^2 + 1"), parse_poly("x + 1"))  # remainder 2
-    with pytest.raises(InternalConsistencyError):
-        exact_quotient(parse_poly("x + 1"), parse_poly("2*x + 1"))  # quotient 1/2
+    with pytest.raises(OutOfDomainError):
+        exact_quotient(parse_poly("x + 1"), parse_poly("2*x + 1"))  # not monic
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,13 @@ from helpers import is_squarefree_int, quadratic_splitting
 from tracegenus import modp
 from tracegenus.errors import (
     InvalidPrimeError,
-    OutOfDomainError,
     ReducibleInputError,
     WildRamificationError,
 )
 from tracegenus.linalg import left_kernel_mod_p
 from tracegenus.orders import _mul_mod_p, frobenius_matrix, maximal_order, mult_table
 from tracegenus.polys import IntPoly, parse_poly
-from tracegenus.splitting import SplittingType, split_prime
+from tracegenus.splitting import SplittingType, algebra_splitting, split_prime
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -68,8 +67,6 @@ def test_index_divisible_prime_uses_the_algebra_route():
     mo = maximal_order(parse_poly("x^6 - 3*x^5 + 10*x^4 - 15*x^3 + 19*x^2 - 12*x + 3"))
     assert mo.index == 3
     assert split_prime(mo, 3).pairs == ((2, 1), (2, 1), (2, 1))
-    with pytest.raises(OutOfDomainError):
-        split_prime(mo, 3, method="polynomial")
 
 
 squarefree_d = st.integers(-150, 150).filter(
@@ -86,10 +83,7 @@ def test_quadratic_splitting_matches_closed_form(d, p):
 @given(squarefree_d, st.sampled_from((3, 5, 7, 11)))
 def test_routes_agree_on_quadratics(d, p):
     mo = maximal_order(IntPoly((-d, 0, 1)))
-    algebra = split_prime(mo, p, method="algebra")
-    assert algebra == split_prime(mo, p, method="auto")
-    if mo.index % p != 0:
-        assert algebra == split_prime(mo, p, method="polynomial")
+    assert algebra_splitting(mo, p) == split_prime(mo, p)
 
 
 def test_routes_agree_on_corpus(corpus_analyses):
@@ -98,7 +92,7 @@ def test_routes_agree_on_corpus(corpus_analyses):
         if analysis.degree == 1:
             continue
         for sp in analysis.splittings:
-            algebra = split_prime(analysis.max_order, sp.p, method="algebra")
+            algebra = algebra_splitting(analysis.max_order, sp.p)
             assert algebra.pairs == sp.pairs
             checked += 1
     assert checked > 60  # many ramified primes across the corpus
@@ -114,7 +108,7 @@ def test_routes_agree_at_small_primes_on_corpus(corpus_analyses):
         if mo.degree == 1:
             continue
         for p in SMALL_PRIMES:
-            algebra = split_prime(mo, p, method="algebra")
+            algebra = algebra_splitting(mo, p)
             assert algebra == split_prime(mo, p)
             frob = frobenius_matrix(mult_table(mo.order), p)
             shifted = [[(c - (i == j)) % p for j, c in enumerate(row)] for i, row in enumerate(frob)]
@@ -124,7 +118,7 @@ def test_routes_agree_at_small_primes_on_corpus(corpus_analyses):
 
 
 def test_routes_agree_on_random_fields():
-    # seeded monic fields of degree 3-6: the forced algebra route against
+    # seeded monic fields of degree 3-6: algebra_splitting against
     # the mod-p shape at every small or ramified prime prime to the index
     rng = random.Random(19)
     fields = checked = 0
@@ -137,7 +131,7 @@ def test_routes_agree_on_random_fields():
         fields += 1
         primes = set(SMALL_PRIMES) | {q for q, _ in mo.disc_factored.factors}
         for p in sorted(q for q in primes if mo.index % q):
-            assert split_prime(mo, p, method="algebra") == split_prime(mo, p, method="polynomial")
+            assert algebra_splitting(mo, p) == split_prime(mo, p)
             checked += 1
     assert checked > 400
 
@@ -189,8 +183,6 @@ def test_split_prime_rejects_composite():
     mo = maximal_order(parse_poly("x^2 - 5"))
     with pytest.raises(InvalidPrimeError):
         split_prime(mo, 6)
-    with pytest.raises(ValueError):
-        split_prime(mo, 5, method="fancy")
 
 
 def test_quotient_algebra_is_commutative_and_associative():

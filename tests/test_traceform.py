@@ -16,6 +16,7 @@ from helpers import (
 )
 from tracegenus.errors import InvalidPrimeError, OutOfDomainError, WildRamificationError
 from tracegenus.genus import NOT_APPLICABLE, SAME, compare_spinor_genus
+from tracegenus.linalg import signature_of_symmetric
 from tracegenus.orders import equation_order, maximal_order
 from tracegenus.polys import IntPoly, discriminant, parse_poly, poly_gcd
 from tracegenus.splitting import SplittingType
@@ -26,7 +27,6 @@ from tracegenus.traceform import (
     classify_gamma,
     disc_square_class,
     field_signature,
-    form_signature,
     gamma_test,
     gram_matrix,
     power_sums,
@@ -113,7 +113,7 @@ def test_gram_det_is_field_disc_and_signature_matches(text):
     assert all(gram[i][j] == gram[j][i] for i in range(len(gram)) for j in range(len(gram)))
     assert frac_det(gram) == mo.disc
     r, s = field_signature(f)
-    assert form_signature(gram) == (r + s, s)
+    assert signature_of_symmetric(gram) == (r + s, s)
 
 
 def test_gram_matches_polynomial_products_on_corpus(corpus_analyses):

@@ -5,7 +5,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helpers import is_eisenstein_at, quadratic_is_irreducible
-from tracegenus.errors import DegenerateInputError, InternalConsistencyError
+from tracegenus.errors import DegenerateInputError, InternalConsistencyError, NonMonicInputError
 from tracegenus.polys import IntPoly, parse_poly
 import tracegenus.zfactor as zfactor
 from tracegenus import modp
@@ -48,8 +48,7 @@ def multiply(factors):
 @given(st.lists(blocks, min_size=1, max_size=3))
 def test_factor_recovers_known_irreducibles(parts):
     f = multiply(parts)
-    content, factors = factor_over_z(f)
-    assert content == 1
+    factors = factor_over_z(f)
     expected = {}
     for g in parts:
         expected[g.coeffs] = expected.get(g.coeffs, 0) + 1
@@ -59,29 +58,27 @@ def test_factor_recovers_known_irreducibles(parts):
     assert got == expected
 
 
-@given(st.lists(blocks, min_size=1, max_size=3), st.integers(-6, 6).filter(lambda c: c != 0))
-def test_factor_pulls_out_content(parts, c):
-    f = multiply(parts)
-    scaled = IntPoly(tuple(c * x for x in f.coeffs))
-    content, factors = factor_over_z(scaled)
-    assert content == c
-    assert multiply([g for g, m in factors for _ in range(m)]) == f
+@given(st.lists(blocks, min_size=1, max_size=3), st.integers(-6, 6).filter(lambda c: c not in (0, 1)))
+def test_factor_refuses_a_scaled_product(parts, c):
+    scaled = IntPoly(tuple(c * x for x in multiply(parts).coeffs))
+    with pytest.raises(NonMonicInputError):
+        factor_over_z(scaled)
+    with pytest.raises(NonMonicInputError):
+        is_irreducible(scaled)
 
 
 @given(blocks, st.integers(1, 3))
 def test_factor_tracks_multiplicity(g, e):
     f = multiply([g] * e)
-    _, factors = factor_over_z(f)
-    assert factors == [(g, e)]
+    assert factor_over_z(f) == [(g, e)]
 
 
 @given(st.lists(blocks, min_size=1, max_size=4))
 def test_factor_product_reconstructs(parts):
     f = multiply(parts)
-    content, factors = factor_over_z(f)
-    recon = poly(content)
-    for g, m in factors:
-        assert g.lc > 0
+    recon = poly(1)
+    for g, m in factor_over_z(f):
+        assert g.is_monic
         for _ in range(m):
             recon = recon * g
     assert recon == f
@@ -92,9 +89,9 @@ def test_factor_product_reconstructs(parts):
 
 
 def test_factor_cyclotomic_products():
-    _, factors = factor_over_z(parse_poly("x^4 - 1"))
+    factors = factor_over_z(parse_poly("x^4 - 1"))
     assert {g.coeffs for g, _ in factors} == {(-1, 1), (1, 1), (1, 0, 1)}
-    _, factors = factor_over_z(parse_poly("x^6 - 1"))
+    factors = factor_over_z(parse_poly("x^6 - 1"))
     assert {g.coeffs for g, _ in factors} == {
         (-1, 1),
         (1, 1),
@@ -112,7 +109,7 @@ def test_is_irreducible_knowns():
     assert is_irreducible(parse_poly("x^4 - 41*x^2 + 144"))  # large index, still irreducible
     # sextic stress where naive mod-p shapes recombine: (x^2-2)(x^2-3)(x^2-6)
     f = parse_poly("x^2 - 2") * parse_poly("x^2 - 3") * parse_poly("x^2 - 6")
-    _, factors = factor_over_z(f)
+    factors = factor_over_z(f)
     assert {g.coeffs for g, _ in factors} == {(-6, 0, 1), (-3, 0, 1), (-2, 0, 1)}
 
 
@@ -178,7 +175,7 @@ def test_bezout_mod_p_is_within_the_degree_bounds(dg, dh, seed, p):
 
 def test_degree_analysis_keeps_true_factors():
     a, b = parse_poly("x^4 - 10*x^2 + 1"), parse_poly("x^2 - 2")
-    assert factor_over_z(a * b) == (1, [(b, 1), (a, 1)])
+    assert factor_over_z(a * b) == [(b, 1), (a, 1)]
 
 
 def test_dense_quintic_is_decided_without_a_lift(lifts):
@@ -202,7 +199,7 @@ def test_irreducible_mod_2_is_decided_at_2_without_a_lift(monkeypatch):
     blocks = modp.degree_blocks
     monkeypatch.setattr(modp, "degree_blocks", lambda g, p: used.append(p) or blocks(g, p))
     monkeypatch.setattr(zfactor, "_lift_tree", no_lift)
-    assert factor_over_z(f) == (1, [(f, 1)])
+    assert factor_over_z(f) == [(f, 1)]
     assert used == [2]
 
 
@@ -211,7 +208,7 @@ def test_fewest_local_factors_first_at_2_lifts_at_2(lifts):
     # factors any prime can have, and ties keep the first prime
     a, b = poly(1, 1, 1), poly(1, 1, 0, 1)
     assert modp.factor_degrees(a * b, 2) == [(2, 1), (3, 1)]
-    assert factor_over_z(a * b) == (1, [(a, 1), (b, 1)])
+    assert factor_over_z(a * b) == [(a, 1), (b, 1)]
     assert lifts and {args[2] for args in lifts} == {2}  # the tree and its halves
 
 
@@ -223,11 +220,11 @@ def test_bad_at_every_lift_prime_falls_back_above_67(monkeypatch):
     used = []
     blocks = modp.degree_blocks
     monkeypatch.setattr(modp, "degree_blocks", lambda g, p: used.append(p) or blocks(g, p))
-    assert factor_over_z(f) == (1, [(f, 1)])
+    assert factor_over_z(f) == [(f, 1)]
     assert max(used) > 67
     used.clear()
     x_minus_1 = poly(-1, 1)
-    assert factor_over_z(x_minus_1 * f) == (1, [(x_minus_1, 1), (f, 1)])
+    assert factor_over_z(x_minus_1 * f) == [(x_minus_1, 1), (f, 1)]
     assert max(used) > 67
 
 
@@ -266,15 +263,16 @@ def test_yun_squarefree_structure():
     assert (parse_poly("x - 1"), 2) in parts
 
 
-def test_factor_non_monic_through_the_monicizing_substitution():
-    a, b, c = parse_poly("2*x - 1"), parse_poly("3*x^2 - 2"), parse_poly("2*x^2 + 1")
-    f = a * a * b * c * 6
-    assert factor_over_z(f) == (6, [(a, 2), (b, 1), (c, 1)])
-    assert factor_over_z(parse_poly("6*x^2 + x - 2")) == (1, [(a, 1), (parse_poly("3*x + 2"), 1)])
-    assert is_irreducible(c)
-    assert not is_irreducible(parse_poly("4*x^2 - 1"))
+def test_factor_and_is_irreducible_refuse_non_monic_input():
+    for text in ("2*x^2 + 1", "3*x + 3", "6*x^2 + x - 2", "4*x^2 - 1", "-x^3 + 2"):
+        for fn in (factor_over_z, is_irreducible):
+            with pytest.raises(NonMonicInputError):
+                fn(parse_poly(text))
 
 
 def test_factor_rejects_zero():
-    with pytest.raises(DegenerateInputError):
-        factor_over_z(IntPoly((0,)))
+    # zero and every other constant are degenerate before non-monic, 1 too
+    for coeffs in ((), (1,), (-1,), (7,)):
+        for fn in (factor_over_z, is_irreducible):
+            with pytest.raises(DegenerateInputError):
+                fn(IntPoly(coeffs))
