@@ -3,9 +3,14 @@
 Polynomials over F_p are plain tuples of ints in [0, p), lowest degree
 first, () meaning zero. Factorization is squarefree decomposition and
 distinct-degree splitting (degree_blocks), then Cantor-Zassenhaus
-equal-degree splitting (split_blocks); both take their powers in F_p[x]/(g)
-from pow_mod, which packs a residue into one int (Kronecker substitution)
-so that each product is one integer multiplication. factor_degrees stops
+equal-degree splitting (split_blocks). Distinct-degree splitting builds the
+matrix of the Frobenius h -> h^p on F_p[x]/(f) once per (f, p), its rows
+x^(i*p) mod f (frobenius_rows), so each of its steps is one vector-matrix
+product. pow_mod gives that matrix its row x^p when p > deg f, and
+Cantor-Zassenhaus its powers; it packs a residue into one int (Kronecker
+substitution) so that each product is one integer multiplication.
+squarefree_decomposition returns after one gcd(f, f') when that is 1, the
+common case at a prime that does not divide disc(f). factor_degrees stops
 after the distinct-degree step and is deterministic; the only randomness is
 the equal-degree step, a random.Random seeded by the repr of (p, coeffs),
 which random hashes with SHA-512: identical calls take identical paths on
@@ -166,6 +171,9 @@ def squarefree_decomposition(f, p):
     f, mult = monic(f, p), 1
     while deg(f) >= 1:
         c = gcd_p(f, derivative(f, p), p)
+        if c == (1,):  # f is squarefree: it is the last part
+            out[f] = mult
+            break
         w = divmod_p(f, c, p)[0]
         i = 1
         while deg(w) > 0:
@@ -180,20 +188,48 @@ def squarefree_decomposition(f, p):
     return sorted(out.items(), key=lambda t: (deg(t[0]), t[0]))
 
 
+def frobenius_rows(f, p):
+    """Rows x^(i*p) mod f, i < deg f, of the matrix of the Frobenius
+    h -> h^p on F_p[x]/(f), for monic f of degree n >= 1: h^p is the sum of
+    h_i times row i. For p <= n each row is the one before shifted by p and
+    reduced; otherwise row 1 is one pow_mod(x, p) and each further row the
+    one before times it."""
+    n = deg(f)
+    rows = [(1,)]
+    if p <= n:
+        while len(rows) < n:
+            rows.append(mod_p((0,) * p + rows[-1], f, p))
+        return rows
+    xp = pow_mod((0, 1), p, f, p)
+    while len(rows) < n:
+        rows.append(mod_p(product(rows[-1], xp), f, p))
+    return rows
+
+
 def distinct_degree(f, p):
-    """[(product of irreducible factors of degree d, d)] for squarefree monic f."""
+    """[(product of irreducible factors of degree d, d)] for squarefree monic
+    f. Step d raises h = x^(p^(d-1)) to the p-th power as a vector times the
+    Frobenius rows of f, built once; when a block splits off, the rows are
+    reduced mod the cofactor, as Frobenius commutes with that reduction."""
     out = []
-    h = (0, 1)  # x
     x = (0, 1)
+    h = x
     d = 0
-    while deg(f) > 2 * (d + 1) - 1 and deg(f) > 0:
+    rows = frobenius_rows(f, p) if deg(f) > 1 else None
+    while deg(f) > 2 * (d + 1) - 1:
         d += 1
-        h = pow_mod(h, p, f, p)
+        acc = [0] * deg(f)
+        for c, row in zip(h, rows):
+            if c:
+                for j, r in enumerate(row):
+                    acc[j] += c * r
+        h = norm(acc, p)
         g = gcd_p(sub(h, x, p), f, p)
         if deg(g) > 0:
             out.append((g, d))
             f = divmod_p(f, g, p)[0]
             h = mod_p(h, f, p)
+            rows = [mod_p(row, f, p) for row in rows[: deg(f)]]
     if deg(f) > 0:
         out.append((f, deg(f)))
     return out

@@ -2,7 +2,9 @@
 6.1.8), joined into a maximal order with its factored discriminant.
 Dedekind's criterion takes the first step: it proves Z[theta] p-maximal, or
 gives the first enlargement, from which the radical/multiplier-ring loop
-continues.
+continues. The loop at p stops as soon as its order O has v_p(disc O) < 2,
+read from v_p(disc f) and the index alone: disc O = [O_K : O]^2 d_K, so p
+then divides no index above O and no further table is built to prove it.
 
 An order is stored as an n x n integer basis matrix over a common
 denominator. Rows are coordinates in the power basis 1, x, ..., x^(n-1) of
@@ -217,13 +219,17 @@ def _radical_kernel(frob, p):
     return left_kernel_mod_p(power, p)
 
 
-def pmaximalize(f, p):
-    """p-maximal order containing Z[x]/(f) (Cohen, GTM 138, Alg. 6.1.8).
+def pmaximalize(f, p, v):
+    """p-maximal order containing Z[x]/(f), for v = v_p(disc f) (Cohen, GTM
+    138, Alg. 6.1.8).
 
     Dedekind's criterion comes first: a p-maximal Z[theta] is returned with
     no multiplication table. Otherwise the radical/multiplier loop starts
     from Dedekind's enlargement O_1 = Z[theta] + (U(theta)/p) Z[theta],
     which is the loop's own first step from Z[theta] (Cohen, Thm. 6.1.4).
+    Before each step the loop stops on an order O with v_p(disc O) < 2:
+    disc O = [O_K : O]^2 d_K, and v_p(disc O) = v - 2 v_p([O : Z[theta]]),
+    so p does not divide [O_K : O] and O is p-maximal already.
     """
     _require_field_poly(f)
     if not is_prime(p):
@@ -238,51 +244,62 @@ def pmaximalize(f, p):
     m = n - u.degree
     rows = [[p if i == j else 0 for j in range(n)] for i in range(n)]
     rows.extend([0] * i + list(u.coeffs) + [0] * (m - 1 - i) for i in range(m))
-    return _round_two(order_from_rows(f, rows, p), p)
+    order = order_from_rows(f, rows, p)
+    while v - 2 * _valuation(order.index_in(), p) >= 2:
+        bigger = _round_two_step(order, p)
+        if bigger == order:
+            break
+        order = bigger
+    return order
 
 
-def _round_two(order, p):
-    """The radical/multiplier enlargement loop at p from a starting order
-    of f = order.poly, until the order is its own ring of multipliers."""
+def _valuation(m, p):
+    """v_p(m) for a nonzero integer m."""
+    k = 0
+    while m % p == 0:
+        m //= p
+        k += 1
+    return k
+
+
+def _round_two_step(order, p):
+    """One radical/multiplier step at p: the ring of multipliers of the
+    p-radical of order, which equals order exactly when order is p-maximal."""
     f = order.poly
     n = f.degree
-    while True:
-        table = mult_table(order)
-        radical = _radical_kernel(frobenius_matrix(table, p), p)
-        # ideal I_p: radical lifts plus p*O, as a lattice in O-coordinates
-        ideal_rows = [list(v) for v in radical]
-        ideal_rows.extend([p if i == j else 0 for j in range(n)] for i in range(n))
-        ideal = hnf_lower(ideal_rows, n)
-        # multiplier condition: y * m in p*I for every ideal basis row m,
-        # linear in y over F_p
-        images = []
-        for i in range(n):
-            e = [1 if j == i else 0 for j in range(n)]
-            cols = []
-            for m_row in ideal:
-                prod = _multiply_in_order(table, e, m_row)
-                coords = solve_lower_unit(ideal, prod)
-                if coords is None:  # pragma: no cover
-                    raise InternalConsistencyError("radical lattice is not an ideal")
-                cols.extend(c % p for c in coords)
-            images.append(cols)
-        kernel = left_kernel_mod_p(images, p)
-        new_rows = [list(v) for v in kernel]
-        new_rows.extend([p if i == j else 0 for j in range(n)] for i in range(n))
-        j_basis = hnf_lower(new_rows, n)  # J in O-coordinates; new order U = J/p
-        # convert to power-basis coordinates over denominator p * denom
-        power_rows = []
-        for row in j_basis:
-            acc = [0] * n
-            for coeff, brow in zip(row, order.basis_num):
-                if coeff:
-                    for t in range(n):
-                        acc[t] += coeff * brow[t]
-            power_rows.append(acc)
-        new_order = order_from_rows(f, power_rows, p * order.denom)
-        if new_order.basis_num == order.basis_num and new_order.denom == order.denom:
-            return order
-        order = new_order
+    table = mult_table(order)
+    radical = _radical_kernel(frobenius_matrix(table, p), p)
+    # ideal I_p: radical lifts plus p*O, as a lattice in O-coordinates
+    ideal_rows = [list(v) for v in radical]
+    ideal_rows.extend([p if i == j else 0 for j in range(n)] for i in range(n))
+    ideal = hnf_lower(ideal_rows, n)
+    # multiplier condition: y * m in p*I for every ideal basis row m,
+    # linear in y over F_p
+    images = []
+    for i in range(n):
+        e = [1 if j == i else 0 for j in range(n)]
+        cols = []
+        for m_row in ideal:
+            prod = _multiply_in_order(table, e, m_row)
+            coords = solve_lower_unit(ideal, prod)
+            if coords is None:  # pragma: no cover
+                raise InternalConsistencyError("radical lattice is not an ideal")
+            cols.extend(c % p for c in coords)
+        images.append(cols)
+    kernel = left_kernel_mod_p(images, p)
+    new_rows = [list(v) for v in kernel]
+    new_rows.extend([p if i == j else 0 for j in range(n)] for i in range(n))
+    j_basis = hnf_lower(new_rows, n)  # J in O-coordinates; new order U = J/p
+    # convert to power-basis coordinates over denominator p * denom
+    power_rows = []
+    for row in j_basis:
+        acc = [0] * n
+        for coeff, brow in zip(row, order.basis_num):
+            if coeff:
+                for t in range(n):
+                    acc[t] += coeff * brow[t]
+        power_rows.append(acc)
+    return order_from_rows(f, power_rows, p * order.denom)
 
 
 def maximal_order(f):
@@ -299,8 +316,7 @@ def maximal_order(f):
             factors=[g for g, _ in factors],
         )
     disc_fact = factor_integer(discriminant(f))
-    square_primes = [p for p, e in disc_fact.factors if e >= 2]
-    locals_ = [pmaximalize(f, p) for p in square_primes]
+    locals_ = [pmaximalize(f, p, e) for p, e in disc_fact.factors if e >= 2]
     if not locals_:
         return MaximalOrder(order=equation_order(f), disc_factored=disc_fact)
     common = 1
@@ -315,11 +331,7 @@ def maximal_order(f):
     index = joined.index_in()
     exponents = []
     for p, e in disc_fact.factors:
-        v = e
-        idx = index
-        while idx % p == 0:
-            v -= 2
-            idx //= p
+        v = e - 2 * _valuation(index, p)
         if v < 0:  # pragma: no cover
             raise InternalConsistencyError("index valuation exceeds disc valuation")
         if v:

@@ -131,6 +131,8 @@ def _lift_tree(f, factors, p, target):
 def _good_blocks(f):
     """(p, modp.degree_blocks(f, p)) at up to 5 primes of _LIFT_PRIMES where
     f stays squarefree; failing those, at the first such prime above 67.
+    A prime is bad when gcd(f, f') mod p is not 1, and then no degree
+    analysis runs there.
 
     Each bad prime of a squarefree monic f divides disc(f) != 0, so the
     search raises once their product passes Hadamard's bound on |disc(f)|,
@@ -142,10 +144,10 @@ def _good_blocks(f):
     for p in chain(_LIFT_PRIMES, filter(is_prime, count(71, 2))):
         if found == 5 or (found and p > 67):
             return
-        a, blocks = modp.degree_blocks(f, p)
-        if all(mult == 1 for _, _, mult in blocks):
+        a = modp.norm(f.coeffs, p)
+        if modp.gcd_p(a, modp.derivative(a, p), p) == (1,):
             found += 1
-            yield p, a, blocks
+            yield (p, *modp.degree_blocks(f, p))
         else:
             bad *= p
             if bad * bad > bound_sq:

@@ -418,6 +418,28 @@ def schoolbook_pow_mod(base, e, modulus, p):
     return h
 
 
+def distinct_degree_by_pow_mod(f, p):
+    """[(product of irreducible factors of degree d, d)] for squarefree monic
+    f over F_p, with one pow_mod per step for h = x^(p^d): the loop that
+    modp.distinct_degree replaces by its Frobenius rows."""
+    from tracegenus import modp
+
+    out = []
+    h = x = (0, 1)
+    d = 0
+    while modp.deg(f) > 2 * d + 1:
+        d += 1
+        h = modp.pow_mod(h, p, f, p)
+        g = modp.gcd_p(modp.sub(h, x, p), f, p)
+        if modp.deg(g) > 0:
+            out.append((g, d))
+            f = modp.divmod_p(f, g, p)[0]
+            h = modp.mod_p(h, f, p)
+    if modp.deg(f) > 0:
+        out.append((f, modp.deg(f)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # odd-p Jordan decomposition of a Gram matrix over Z_(p)
 

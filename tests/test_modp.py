@@ -2,10 +2,10 @@ import random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import schoolbook_pow_mod
+from helpers import distinct_degree_by_pow_mod, schoolbook_pow_mod
 from tracegenus import modp
 from tracegenus.errors import DegenerateInputError, InvalidPrimeError
 from tracegenus.polys import IntPoly, parse_poly, product
@@ -149,6 +149,76 @@ def test_pow_mod_at_the_slot_bound():
     for base in ((p - 1,) * 8, (p - 21,) * 8, (p - 1,) * 12, (0, 1)):
         for e in (2, 3, p, p**2 - 1, 2**70 - 1):
             assert modp.pow_mod(base, e, modulus, p) == schoolbook_pow_mod(base, e, modulus, p)
+
+
+# ---------------------------------------------------------------------------
+# the Frobenius rows and distinct-degree splitting
+
+# 10^9 + 7 and 2^61 - 1 exceed every degree drawn, 2..7 do not
+FROBENIUS_PRIMES = [2, 3, 5, 7, 101, 10**9 + 7, 2**61 - 1]
+
+
+def random_monic(p, degree, rng):
+    return tuple(rng.randrange(p) for _ in range(degree)) + (1,)
+
+
+@given(st.integers(1, 10), st.integers(0, 2**30), st.sampled_from(FROBENIUS_PRIMES))
+@example(10, 1, 2)  # rows walked up by shifts of p
+@example(3, 1, 10**9 + 7)  # rows as powers of one pow_mod(x, p)
+def test_frobenius_rows_are_the_powers_x_to_the_ip(n, seed, p):
+    f = random_monic(p, n, random.Random(seed))
+    rows = modp.frobenius_rows(f, p)
+    assert rows == [modp.pow_mod((0, 1), i * p, f, p) for i in range(n)]
+
+
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    st.integers(0, 2**30),
+    st.sampled_from(FROBENIUS_PRIMES),
+    st.booleans(),
+)
+def test_distinct_degree_matches_one_pow_mod_per_step(degrees, seed, p, squared):
+    # a product of random monic factors, of degree <= 10, with its first
+    # factor squared half the time; degree_blocks' squarefree parts go
+    # through distinct_degree and through the oracle loop
+    rng = random.Random(seed)
+    factors = [random_monic(p, d, rng) for d in degrees]
+    if squared and sum(degrees) + degrees[0] <= 10:
+        factors.append(factors[0])
+    f = (1,)
+    for g in factors:
+        f = modp.mul(f, g, p)
+    a, blocks = modp.degree_blocks(IntPoly(f), p)
+    expected = [
+        (prod, d, mult)
+        for sqf, mult in modp.squarefree_decomposition(a, p)
+        for prod, d in distinct_degree_by_pow_mod(sqf, p)
+    ]
+    assert blocks == expected
+
+
+@pytest.mark.parametrize(
+    "p,factors",
+    [
+        # x * (x^2 + x + 1) * (x^3 + x + 1) over F_2: rows walked up
+        (2, [(0, 1), (1, 1, 1), (1, 1, 0, 1)]),
+        # x * (x^2 + 1) * (x^3 - 2) over F_7: 7 = 3 mod 4 and 2 is no cube
+        (7, [(0, 1), (1, 0, 1), (5, 0, 0, 1)]),
+    ],
+)
+def test_distinct_degree_splits_blocks_off_mid_loop(monkeypatch, p, factors):
+    # the linear block splits off at step 1 and the quadratic at step 2,
+    # each reducing the rows mod the cofactor; only x^p takes a pow_mod
+    f = (1,)
+    for g in factors:
+        f = modp.mul(f, g, p)
+    expected = [(g, modp.deg(g)) for g in factors]
+    assert distinct_degree_by_pow_mod(f, p) == expected
+    powers = []
+    pow_mod = modp.pow_mod
+    monkeypatch.setattr(modp, "pow_mod", lambda *args: powers.append(args[1]) or pow_mod(*args))
+    assert modp.distinct_degree(f, p) == expected
+    assert powers == ([p] if p > modp.deg(f) else [])
 
 
 # ---------------------------------------------------------------------------

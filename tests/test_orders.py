@@ -122,47 +122,105 @@ def test_mult_table_refuses_a_lattice_that_is_no_ring():
 def test_dedekind_agrees_with_round2_index():
     for _, text, index, _ in KNOWN_FIELDS:
         f = parse_poly(text)
-        disc_f = factor_integer(discriminant(f))
-        for p, e in disc_f.factors:
-            if e < 2:
-                continue
+        for p, v in _square_primes(f):
             pmax, witnesses = dedekind_is_pmaximal(f, p)
             assert pmax == (index % p != 0)
             if not pmax:
                 assert witnesses  # enlargement witnesses come with the verdict
-                enlarged = pmaximalize(f, p)
+                enlarged = pmaximalize(f, p, v)
                 # the p-maximal order strictly contains Z[theta]
                 assert enlarged.denom % p == 0
 
 
 def _square_primes(f):
-    return [p for p, e in factor_integer(discriminant(f)).factors if e >= 2]
+    """(p, v_p(disc f)) for every p whose square divides disc(f)."""
+    return [(p, e) for p, e in factor_integer(discriminant(f)).factors if e >= 2]
+
+
+def round_two_without_stop(f, p):
+    """The radical/multiplier loop from Z[theta] until the order is its own
+    ring of multipliers: no Dedekind step and no stop on v_p(disc O)."""
+    order = equation_order(f)
+    while True:
+        bigger = orders._round_two_step(order, p)
+        if bigger == order:
+            return order
+        order = bigger
 
 
 def test_pmaximalize_equals_round_two_from_the_equation_order(corpus_records):
-    # the loop run from Z[theta] is the route without Dedekind's first step
     checked = 0
     for rec in corpus_records:
         f = parse_poly(rec.text)
-        for p in _square_primes(f):
-            start = equation_order(f)
-            assert pmaximalize(f, p) == orders._round_two(start, p), (rec.label, p)
+        for p, v in _square_primes(f):
+            assert pmaximalize(f, p, v) == round_two_without_stop(f, p), (rec.label, p)
             checked += 1
-    assert checked >= 60
+    assert checked == 69
 
 
 def test_dedekind_maximal_prime_builds_no_table(corpus_records):
     settled = 0
     for rec in corpus_records:
         f = parse_poly(rec.text)
-        for p in _square_primes(f):
+        for p, v in _square_primes(f):
             if not dedekind_is_pmaximal(f, p)[0]:
                 continue
             mult_table.cache_clear()
-            assert pmaximalize(f, p) == equation_order(f)
+            assert pmaximalize(f, p, v) == equation_order(f)
             assert mult_table.cache_info().misses == 0, (rec.label, p)
             settled += 1
     assert settled >= 40
+
+
+# the corpus square primes where Dedekind's enlargement O_1 already has
+# v_p(disc O_1) <= 1, and so is p-maximal
+O1_IS_PMAXIMAL = [
+    ("d12-sextic", 11),
+    ("d12-sextic", 17),
+    ("klein-quartic-a", 3),
+    ("klein-quartic-b", 2),
+    ("klein-quartic-b", 3),
+    ("quad-5", 2),
+    ("r2-02", 7),
+    ("r3-02", 3),
+    ("r4-08", 13),
+    ("r5-05", 3),
+    ("sextic-pair-a", 5),
+]
+
+
+def test_pmaximal_dedekind_enlargement_builds_no_table(corpus_records):
+    # O_1 is the loop's own first step from Z[theta] (Cohen, Thm. 6.1.4);
+    # where v_p(disc O_1) < 2 it is returned before any table is built
+    settled = []
+    for rec in corpus_records:
+        f = parse_poly(rec.text)
+        for p, v in _square_primes(f):
+            if dedekind_is_pmaximal(f, p)[0]:
+                continue
+            o1 = orders._round_two_step(equation_order(f), p)
+            if v - 2 * orders._valuation(o1.index_in(), p) >= 2:
+                continue
+            mult_table.cache_clear()
+            assert pmaximalize(f, p, v) == o1, (rec.label, p)
+            assert mult_table.cache_info().misses == 0, (rec.label, p)
+            settled.append((rec.label, p))
+    assert sorted(settled) == O1_IS_PMAXIMAL
+
+
+def test_round_two_table_count_on_the_corpus(corpus_records):
+    # 69 square primes: 49 settled by Dedekind or by v_p(disc O_1) < 2 with
+    # no table, and 20 tables at the rest (34 when every loop ended on a
+    # check-only step that rebuilt the table of an order proven p-maximal)
+    primes = tables = 0
+    for rec in corpus_records:
+        f = parse_poly(rec.text)
+        for p, v in _square_primes(f):
+            mult_table.cache_clear()
+            pmaximalize(f, p, v)
+            tables += mult_table.cache_info().misses
+            primes += 1
+    assert (primes, tables) == (69, 20)
 
 
 def test_dedekind_squarefree_parts_match_factor_mod_p(corpus_records, monkeypatch):
@@ -186,9 +244,9 @@ def test_dedekind_squarefree_parts_match_factor_mod_p(corpus_records, monkeypatc
 
 
 def test_pmaximalize_reaches_full_p_index():
-    f = parse_poly("x^4 - 41*x^2 + 144")  # index 48 = 2^4 * 3
-    o2 = pmaximalize(f, 2)
-    o3 = pmaximalize(f, 3)
+    f = parse_poly("x^4 - 41*x^2 + 144")  # index 48 = 2^4 * 3, disc 2^8 3^2 d_K
+    o2 = pmaximalize(f, 2, 8)
+    o3 = pmaximalize(f, 3, 2)
     assert o2.index_in() == 16
     assert o3.index_in() == 3
 

@@ -228,6 +228,17 @@ def test_bad_at_every_lift_prime_falls_back_above_67(monkeypatch):
     assert max(used) > 67
 
 
+def test_degree_analysis_runs_only_at_good_primes(monkeypatch):
+    # disc(x^2 + 30) = -120: 2, 3 and 5 are bad, and one gcd(f, f') mod p
+    # each rejects them before any distinct-degree splitting
+    used = []
+    blocks = modp.degree_blocks
+    monkeypatch.setattr(modp, "degree_blocks", lambda g, p: used.append(p) or blocks(g, p))
+    good = [p for p, _, _ in zfactor._good_blocks(poly(30, 0, 1))]
+    assert good == [7, 11, 13, 17, 19]
+    assert used == good
+
+
 def _square_of_lift_prime_product():
     n = 1
     for p in zfactor._LIFT_PRIMES:
