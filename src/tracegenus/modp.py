@@ -6,7 +6,7 @@ distinct-degree splitting (degree_blocks), then Cantor-Zassenhaus
 equal-degree splitting (split_blocks). Distinct-degree splitting builds the
 matrix of the Frobenius h -> h^p on F_p[x]/(f) once per (f, p), its rows
 x^(i*p) mod f (frobenius_rows), so each of its steps is one vector-matrix
-product. pow_mod gives that matrix its row x^p when p > deg f, and
+product. pow_mod gives that matrix its row x^p when p >= deg f, and
 Cantor-Zassenhaus its powers; it packs a residue into one int (Kronecker
 substitution) so that each product is one integer multiplication.
 squarefree_decomposition returns after one gcd(f, f') when that is 1, the
@@ -191,18 +191,14 @@ def squarefree_decomposition(f, p):
 def frobenius_rows(f, p):
     """Rows x^(i*p) mod f, i < deg f, of the matrix of the Frobenius
     h -> h^p on F_p[x]/(f), for monic f of degree n >= 1: h^p is the sum of
-    h_i times row i. For p <= n each row is the one before shifted by p and
-    reduced; otherwise row 1 is one pow_mod(x, p) and each further row the
-    one before times it."""
+    h_i times row i. Each row is the one before times x^p mod f: for p < n
+    the monomial x^p itself, so each product is a shift and pow_mod's set-up
+    of n - 1 reduction rows is not paid, and otherwise one pow_mod(x, p)."""
     n = deg(f)
+    xp = (0,) * p + (1,) if p < n else pow_mod((0, 1), p, f, p)
     rows = [(1,)]
-    if p <= n:
-        while len(rows) < n:
-            rows.append(mod_p((0,) * p + rows[-1], f, p))
-        return rows
-    xp = pow_mod((0, 1), p, f, p)
     while len(rows) < n:
-        rows.append(mod_p(product(rows[-1], xp), f, p))
+        rows.append(mod_p(product(xp, rows[-1]), f, p))
     return rows
 
 

@@ -24,6 +24,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidPrimeError,
     NonMonicInputError,
+    OutOfDomainError,
     ReducibleInputError,
 )
 from .linalg import hnf_lower, left_kernel_mod_p, solve_lower_unit
@@ -220,8 +221,8 @@ def _radical_kernel(frob, p):
 
 
 def pmaximalize(f, p, v):
-    """p-maximal order containing Z[x]/(f), for v = v_p(disc f) (Cohen, GTM
-    138, Alg. 6.1.8).
+    """p-maximal order containing Z[x]/(f), for a prime p whose square
+    divides disc(f) and v = v_p(disc f) (Cohen, GTM 138, Alg. 6.1.8).
 
     Dedekind's criterion comes first: a p-maximal Z[theta] is returned with
     no multiplication table. Otherwise the radical/multiplier loop starts
@@ -230,10 +231,17 @@ def pmaximalize(f, p, v):
     Before each step the loop stops on an order O with v_p(disc O) < 2:
     disc O = [O_K : O]^2 d_K, and v_p(disc O) = v - 2 v_p([O : Z[theta]]),
     so p does not divide [O_K : O] and O is p-maximal already.
+
+    The result is proven p-maximal only for the true v. A v above it costs
+    steps that end on a fixed point; a v below it is refused once the index
+    outgrows it (v_p(disc O) < 0), but may stop early on an order that is
+    not p-maximal. Raises OutOfDomainError for v < 2.
     """
     _require_field_poly(f)
     if not is_prime(p):
         raise InvalidPrimeError("pmaximalize needs a prime, got %r" % (p,))
+    if v < 2:
+        raise OutOfDomainError("pmaximalize needs v = v_p(disc f) >= 2, got %r" % (v,))
     is_pmaximal, witnesses = dedekind_is_pmaximal(f, p)
     if is_pmaximal:
         return equation_order(f)
@@ -245,12 +253,16 @@ def pmaximalize(f, p, v):
     rows = [[p if i == j else 0 for j in range(n)] for i in range(n)]
     rows.extend([0] * i + list(u.coeffs) + [0] * (m - 1 - i) for i in range(m))
     order = order_from_rows(f, rows, p)
-    while v - 2 * _valuation(order.index_in(), p) >= 2:
+    while True:
+        left = v - 2 * _valuation(order.index_in(), p)  # v_p(disc order)
+        if left < 0:
+            raise InternalConsistencyError("index at %d exceeds v = %d" % (p, v))
+        if left < 2:
+            return order
         bigger = _round_two_step(order, p)
         if bigger == order:
-            break
+            return order
         order = bigger
-    return order
 
 
 def _valuation(m, p):

@@ -132,7 +132,10 @@ def _good_blocks(f):
     """(p, modp.degree_blocks(f, p)) at up to 5 primes of _LIFT_PRIMES where
     f stays squarefree; failing those, at the first such prime above 67.
     A prime is bad when gcd(f, f') mod p is not 1, and then no degree
-    analysis runs there.
+    analysis runs there. At a good prime degree_blocks takes that gcd again
+    as squarefree_decomposition's first step and returns after it: one gcd
+    at each of at most 5 good primes, against a full squarefree and
+    distinct-degree split at each bad one.
 
     Each bad prime of a squarefree monic f divides disc(f) != 0, so the
     search raises once their product passes Hadamard's bound on |disc(f)|,

@@ -154,7 +154,8 @@ def test_pow_mod_at_the_slot_bound():
 # ---------------------------------------------------------------------------
 # the Frobenius rows and distinct-degree splitting
 
-# 10^9 + 7 and 2^61 - 1 exceed every degree drawn, 2..7 do not
+# x^p mod f is the monomial x^p when p < deg f (2..7 may be) and dense
+# otherwise (101 and above always are)
 FROBENIUS_PRIMES = [2, 3, 5, 7, 101, 10**9 + 7, 2**61 - 1]
 
 
@@ -163,8 +164,9 @@ def random_monic(p, degree, rng):
 
 
 @given(st.integers(1, 10), st.integers(0, 2**30), st.sampled_from(FROBENIUS_PRIMES))
-@example(10, 1, 2)  # rows walked up by shifts of p
-@example(3, 1, 10**9 + 7)  # rows as powers of one pow_mod(x, p)
+@example(10, 1, 2)  # x^p is the monomial: each row is a shift, reduced
+@example(7, 1, 7)  # x^p = x^n mod f from pow_mod
+@example(3, 1, 10**9 + 7)  # x^p mod f from pow_mod, dense
 def test_frobenius_rows_are_the_powers_x_to_the_ip(n, seed, p):
     f = random_monic(p, n, random.Random(seed))
     rows = modp.frobenius_rows(f, p)
@@ -200,7 +202,7 @@ def test_distinct_degree_matches_one_pow_mod_per_step(degrees, seed, p, squared)
 @pytest.mark.parametrize(
     "p,factors",
     [
-        # x * (x^2 + x + 1) * (x^3 + x + 1) over F_2: rows walked up
+        # x * (x^2 + x + 1) * (x^3 + x + 1) over F_2
         (2, [(0, 1), (1, 1, 1), (1, 1, 0, 1)]),
         # x * (x^2 + 1) * (x^3 - 2) over F_7: 7 = 3 mod 4 and 2 is no cube
         (7, [(0, 1), (1, 0, 1), (5, 0, 0, 1)]),
@@ -208,7 +210,8 @@ def test_distinct_degree_matches_one_pow_mod_per_step(degrees, seed, p, squared)
 )
 def test_distinct_degree_splits_blocks_off_mid_loop(monkeypatch, p, factors):
     # the linear block splits off at step 1 and the quadratic at step 2,
-    # each reducing the rows mod the cofactor; only x^p takes a pow_mod
+    # each reducing the rows mod the cofactor; only x^p takes a pow_mod,
+    # and only when p >= deg f
     f = (1,)
     for g in factors:
         f = modp.mul(f, g, p)
@@ -218,7 +221,7 @@ def test_distinct_degree_splits_blocks_off_mid_loop(monkeypatch, p, factors):
     pow_mod = modp.pow_mod
     monkeypatch.setattr(modp, "pow_mod", lambda *args: powers.append(args[1]) or pow_mod(*args))
     assert modp.distinct_degree(f, p) == expected
-    assert powers == ([p] if p > modp.deg(f) else [])
+    assert powers == ([p] if p >= modp.deg(f) else [])
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from tracegenus.errors import (
     DegenerateInputError,
     InternalConsistencyError,
     NonMonicInputError,
+    OutOfDomainError,
     ReducibleInputError,
 )
 from tracegenus.orders import (
@@ -249,6 +250,20 @@ def test_pmaximalize_reaches_full_p_index():
     o3 = pmaximalize(f, 3, 2)
     assert o2.index_in() == 16
     assert o3.index_in() == 3
+
+
+def test_pmaximalize_checks_the_v_it_is_given():
+    # v_2(disc f) = 8 and Dedekind's O_1 has 2-index 2^2: a v of 2 or 3
+    # leaves v_p(disc O_1) < 0, and a v above 8 only costs steps
+    f = parse_poly("x^4 - 41*x^2 + 144")
+    for v in (2, 3):
+        with pytest.raises(InternalConsistencyError, match="index at 2 exceeds v"):
+            pmaximalize(f, 2, v)
+    for v in (-1, 0, 1):
+        with pytest.raises(OutOfDomainError):
+            pmaximalize(f, 2, v)
+    for v in (9, 10, 20):
+        assert pmaximalize(f, 2, v) == pmaximalize(f, 2, 8)
 
 
 def test_maximal_order_is_deterministic():

@@ -5,6 +5,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helpers import is_eisenstein_at, quadratic_is_irreducible
+from tracegenus.arith import is_prime
 from tracegenus.errors import DegenerateInputError, InternalConsistencyError, NonMonicInputError
 from tracegenus.polys import IntPoly, parse_poly
 import tracegenus.zfactor as zfactor
@@ -265,6 +266,34 @@ def test_non_squarefree_input_stops_the_prime_search(monkeypatch, f):
     with pytest.raises(InternalConsistencyError, match="expected squarefree input"):
         zfactor._factor_monic_squarefree(f)
     assert len(used) < 150
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        parse_poly("x^2 - 2*x + 1"),
+        parse_poly("x^4 + 2*x^2 + 1"),
+        parse_poly("x^6 - 4*x^3 + 4"),
+        _square_of_lift_prime_product(),
+    ],
+)
+def test_prime_search_on_a_square_stops_at_the_hadamard_bound(monkeypatch, f):
+    # _good_blocks tries each prime with one gcd(f, f') mod p; for a square
+    # every prime is bad, and the search tries 2, 3, 5, ... until their
+    # product first passes Hadamard's bound on |disc| for a squarefree f
+    tried = []
+    derivative = modp.derivative
+    monkeypatch.setattr(modp, "derivative", lambda a, p: tried.append(p) or derivative(a, p))
+    with pytest.raises(InternalConsistencyError, match="expected squarefree input"):
+        zfactor._factor_monic_squarefree(f)
+    n = f.degree
+    bound_sq = sum(c * c for c in f.coeffs) ** (n - 1) * sum(c * c for c in f.derivative().coeffs) ** n
+    assert tried == [p for p in range(2, tried[-1] + 1) if is_prime(p)]
+    product = 1
+    for p in tried[:-1]:
+        product *= p
+    assert product**2 <= bound_sq < (product * tried[-1]) ** 2
+    assert len(tried) < 150
 
 
 def test_yun_squarefree_structure():
