@@ -5,7 +5,8 @@ Reads a `label,polynomial` CSV, analyzes every record, and prints one row per
 field with its degree, discriminant factorization, tameness, gamma verdict,
 and exceptional prime. With --verify it also evaluates the alpha/valuation
 identity at every odd tame ramified non-exceptional prime of each gamma field
-and reports the check count; any failure flips the exit code to 1.
+with the test suite's oracle (tests/helpers.py) and reports the check count;
+any failure flips the exit code to 1.
 
 Example:
 
@@ -19,11 +20,13 @@ import sys
 from dataclasses import dataclass
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 
+from helpers import verify_alpha_formula
 from tracegenus.corpus import read_corpus
 from tracegenus.errors import TraceGenusError
 from tracegenus.polys import parse_poly
-from tracegenus.traceform import analyze_field, verify_alpha_formula
+from tracegenus.traceform import analyze_field
 
 
 @dataclass(frozen=True)

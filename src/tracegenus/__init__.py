@@ -36,13 +36,7 @@ _HOMES = {  # home module -> the public names it defines
         "cross_validate",
         "predict_equivalence",
     ),
-    "orders": (
-        "MaximalOrder",
-        "Order",
-        "dedekind_is_pmaximal",
-        "maximal_order",
-        "pmaximalize",
-    ),
+    "orders": ("MaximalOrder", "Order", "maximal_order"),
     "polys": ("IntPoly", "coeff_csv", "discriminant", "parse_poly", "poly_to_string"),
     "splitting": ("SplittingType", "split_prime"),
     "traceform": (
@@ -52,14 +46,11 @@ _HOMES = {  # home module -> the public names it defines
         "GammaTest",
         "TraceForm",
         "alpha_invariant",
-        "alpha_matches_disc_formula",
         "analyze_field",
         "classify_gamma",
-        "disc_square_class",
         "field_signature",
         "gram_matrix",
         "power_sums",
-        "verify_alpha_formula",
     ),
     "zfactor": ("factor_over_z", "is_irreducible"),
 }

@@ -171,15 +171,11 @@ def frobenius_matrix(table, p):
     return rows
 
 
-def dedekind_is_pmaximal(f, p):
-    """Dedekind's criterion at p for the equation order of monic f.
-
-    Returns (is_pmaximal, witness_generators) where each witness g means the
-    element g(theta)/p lies in the p-enlarged order but not in Z[theta].
+def _dedekind_witness(f, p):
+    """Dedekind's criterion at a prime p for the equation order of monic f:
+    None when Z[theta] is p-maximal, otherwise the lift U of f_bar/u_bar,
+    for which U(theta)/p lies in the p-maximal order but not in Z[theta].
     """
-    _require_field_poly(f)
-    if not is_prime(p):
-        raise InvalidPrimeError("Dedekind criterion needs a prime, got %r" % (p,))
     f_bar = modp.norm(f.coeffs, p)
     # g_bar is the product of the distinct irreducible factors of f_bar
     g_bar = (1,)
@@ -197,8 +193,8 @@ def dedekind_is_pmaximal(f, p):
     t_bar = modp.norm(t_coeffs, p)
     u_bar = modp.gcd_p(modp.gcd_p(t_bar, g_bar, p), h_bar, p)
     if modp.deg(u_bar) <= 0:
-        return True, []
-    return False, [IntPoly(modp.divmod_p(f_bar, u_bar, p)[0])]
+        return None
+    return IntPoly(modp.divmod_p(f_bar, u_bar, p)[0])
 
 
 def _require_field_poly(f):
@@ -232,21 +228,21 @@ def pmaximalize(f, p, v):
     disc O = [O_K : O]^2 d_K, and v_p(disc O) = v - 2 v_p([O : Z[theta]]),
     so p does not divide [O_K : O] and O is p-maximal already.
 
-    The result is proven p-maximal only for the true v. A v above it costs
-    steps that end on a fixed point; a v below it is refused once the index
-    outgrows it (v_p(disc O) < 0), but may stop early on an order that is
-    not p-maximal. Raises OutOfDomainError for v < 2.
+    The result is proven p-maximal only for the true v, which maximal_order,
+    the one caller, passes. A v above it costs steps that end on a fixed
+    point; a v below it is refused once the index outgrows it (v_p(disc O)
+    < 0), but may stop early on an order that is not p-maximal. Raises
+    OutOfDomainError for v < 2.
     """
     _require_field_poly(f)
     if not is_prime(p):
         raise InvalidPrimeError("pmaximalize needs a prime, got %r" % (p,))
     if v < 2:
         raise OutOfDomainError("pmaximalize needs v = v_p(disc f) >= 2, got %r" % (v,))
-    is_pmaximal, witnesses = dedekind_is_pmaximal(f, p)
-    if is_pmaximal:
+    u = _dedekind_witness(f, p)
+    if u is None:
         return equation_order(f)
     n = f.degree
-    (u,) = witnesses
     # p*Z[theta] + U*Z[theta] over p: as f = U*U_bar mod p, the products
     # U*x^i with i < deg(U_bar) = n - deg(U) span U*Z[theta] mod p*Z[theta]
     m = n - u.degree

@@ -2,12 +2,13 @@
 
 Coefficients are arbitrary-precision ints, stored lowest degree first. The
 zero polynomial has an empty coefficient tuple and degree -1. Everything here
-is pure and deterministic. gcd, resultant and Sturm count read one
+is pure and deterministic. gcd, discriminant and Sturm count read one
 subresultant PRS (_subresultant_prs), whose intermediate coefficients stay
 polynomially bounded, rather than a determinant expansion or separate
 remainder loops. IntPoly.divmod is the one exact division, by a monic
 divisor, and product the one schoolbook product, which modp shares; the
-PRS takes general input through pseudo_rem, as f' is not monic.
+PRS takes general input through pseudo_rem, as f' is not monic. IntPoly
+arithmetic takes IntPoly operands only.
 """
 
 import re
@@ -16,9 +17,14 @@ from math import gcd
 from .errors import (
     DegenerateInputError,
     InternalConsistencyError,
+    NonMonicInputError,
     OutOfDomainError,
     ParseError,
 )
+
+# the largest degree parse_poly reads; it bounds the dense coefficient list
+# built from the text, not the run time of an analysis
+MAX_DEGREE = 10_000
 
 
 class IntPoly:
@@ -37,9 +43,6 @@ class IntPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
-
-    def __reduce__(self):
-        return (IntPoly, (self.coeffs,))
 
     @property
     def degree(self):
@@ -66,7 +69,6 @@ class IntPoly:
         return hash(("IntPoly", self.coeffs))
 
     def __add__(self, other):
-        other = _coerce(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -75,21 +77,14 @@ class IntPoly:
             out[i] += c
         return IntPoly(out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return IntPoly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) - self
+        return self + (-other)
 
     def __mul__(self, other):
-        return IntPoly(product(self.coeffs, _coerce(other).coeffs))
-
-    __rmul__ = __mul__
+        return IntPoly(product(self.coeffs, other.coeffs))
 
     def __call__(self, x):
         acc = 0
@@ -140,14 +135,6 @@ class IntPoly:
         return poly_to_string(self)
 
 
-def _coerce(v):
-    if isinstance(v, IntPoly):
-        return v
-    if isinstance(v, int):
-        return IntPoly([v])
-    raise TypeError("cannot coerce %r to IntPoly" % (v,))
-
-
 def product(a, b):
     """Schoolbook product of coefficient sequences a and b (low degree
     first) as an unreduced list, [] when either is zero. IntPoly's product
@@ -172,8 +159,9 @@ _COEFF_RE = re.compile(r"^[+-]?[0-9]+$")
 def parse_poly(text):
     """Parse either grammar: 'c0,c1,...,cn' or symbolic like 'x^4 - 41*x^2 + 144'.
 
-    Integer coefficients in ASCII digits only, and no number split by
-    whitespace or '*'; raises ParseError otherwise.
+    Integer coefficients in ASCII digits only, no number split by whitespace
+    or '*', and degree at most MAX_DEGREE; raises ParseError otherwise, also
+    for a number longer than int() reads (sys.get_int_max_str_digits).
     """
     if not isinstance(text, str):
         raise ParseError("polynomial input must be a string")
@@ -184,7 +172,9 @@ def parse_poly(text):
         parts = [p.strip() for p in s.split(",")]
         if not all(_COEFF_RE.match(p) for p in parts):
             raise ParseError("bad coefficient list: %r" % (text,))
-        poly = IntPoly([int(p) for p in parts])
+        if len(parts) > MAX_DEGREE + 1:
+            raise ParseError("degree %d is above the limit %d" % (len(parts) - 1, MAX_DEGREE))
+        poly = IntPoly([_read_int(p) for p in parts])
         if poly.is_zero:
             raise ParseError("zero polynomial: %r" % (text,))
         return poly
@@ -207,10 +197,12 @@ def parse_poly(text):
         has_x = "x" in term
         if not has_x and not digits:
             raise ParseError("bad term %r in %r" % (term, text))
-        coef = int(digits) if digits else 1
+        coef = _read_int(digits) if digits else 1
         if sign == "-":
             coef = -coef
-        e = int(exp) if exp else (1 if has_x else 0)
+        e = _read_int(exp) if exp else (1 if has_x else 0)
+        if e > MAX_DEGREE:
+            raise ParseError("degree %d is above the limit %d" % (e, MAX_DEGREE))
         coeffs[e] = coeffs.get(e, 0) + coef
     out = [0] * (max(coeffs) + 1)
     for e, c in coeffs.items():
@@ -219,6 +211,13 @@ def parse_poly(text):
     if poly.is_zero:
         raise ParseError("zero polynomial: %r" % (text,))
     return poly
+
+
+def _read_int(digits):
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() reads
+        raise ParseError("a number of %d digits is too long to read" % len(digits)) from None
 
 
 def poly_to_string(f):
@@ -252,7 +251,7 @@ def coeff_csv(f):
 
 
 # ---------------------------------------------------------------------------
-# gcd / resultant / discriminant over Z
+# gcd / discriminant over Z
 
 def pseudo_rem(a, b):
     """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a modulo b, over Z.
@@ -325,46 +324,29 @@ def poly_gcd(a, b):
     return IntPoly([cont * c for c in last.primitive()[1].coeffs])
 
 
-def resultant(a, b):
-    """Res(a, b) over Z from the subresultant PRS."""
-    if a.is_zero or b.is_zero:
-        return 0
-    da, db = a.degree, b.degree
-    if da == 0 and db == 0:
-        return 1
-    sign = 1
-    if da < db:
-        a, b = b, a
-        if (da * db) % 2 == 1:
-            sign = -sign
-    ca, a = a.primitive()
-    cb, b = b.primitive()
-    # contents enter as lc-style powers; their signs ride along correctly
-    t = (ca ** b.degree) * (cb ** a.degree)
-    members, _, h = _subresultant_prs(a, b)
+def discriminant(f):
+    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') for monic f of degree n >= 1.
+
+    With f' = c*g, g primitive, Res(f, f') = c^n Res(f, g), read from the
+    subresultant PRS of f and g. Raises DegenerateInputError for a
+    constant and NonMonicInputError for any other non-monic f.
+    """
+    n = f.degree
+    if n < 1:
+        raise DegenerateInputError("discriminant of a constant polynomial")
+    if not f.is_monic:
+        raise NonMonicInputError("discriminant needs a monic polynomial: %s" % (f,))
+    c, g = f.derivative().primitive()
+    members, _, h = _subresultant_prs(f, g)
     last = members[-1]
-    if last.degree > 0:
-        # nontrivial common factor
+    if last.degree > 0:  # f and f' share a factor
         return 0
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
     for u, v in zip(members, members[1:]):
         if u.degree % 2 == 1 and v.degree % 2 == 1:
             sign = -sign
     k = members[-2].degree
-    return sign * t * (last.lc ** k // h ** (k - 1))
-
-
-def discriminant(f):
-    """disc(f) = (-1)^(n(n-1)/2) * Res(f, f') / lc(f); errors on constants."""
-    n = f.degree
-    if n < 1:
-        raise DegenerateInputError("discriminant of a constant polynomial")
-    r = resultant(f, f.derivative())
-    s = -1 if (n * (n - 1) // 2) % 2 else 1
-    val = s * r
-    q, rem = divmod(val, f.lc)
-    if rem:  # pragma: no cover
-        raise InternalConsistencyError("resultant not divisible by leading coefficient")
-    return q
+    return sign * c ** n * (last.lc ** k // h ** (k - 1))
 
 
 def exact_quotient(a, b):

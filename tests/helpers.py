@@ -9,6 +9,7 @@ different is the point.
 """
 
 from fractions import Fraction
+from math import gcd
 
 # ---------------------------------------------------------------------------
 # exact linear algebra over Q
@@ -489,3 +490,61 @@ def jordan_symbol(gram, p):
             if a != i
         ]
     return symbol
+
+
+# ---------------------------------------------------------------------------
+# the square class n/(n - v_p(d_K)) that a gamma prime's alpha class equals
+
+
+def disc_square_class(n, disc_valuation, p):
+    """Square class of n/(n - v) mod p as an AlphaClass, for 0 < v < n.
+
+    At a prime that passes the gamma test (e homogeneous, F = n/e and g odd)
+    alpha_p = e^F u^(F - g) is e mod squares, and e = n/(n - v_p(d_K)) as
+    v_p(d_K) = (e - 1) F; so this class restates the definitions rather than
+    checking the library by a second route. The quotient is reduced first;
+    if p still divides numerator or denominator the class is not a p-adic
+    unit and OutOfDomainError is raised, as it is for v outside (0, n).
+    """
+    from tracegenus.arith import legendre, smallest_nonresidue
+    from tracegenus.errors import InvalidPrimeError, OutOfDomainError
+    from tracegenus.traceform import AlphaClass
+
+    if p == 2:
+        raise InvalidPrimeError("square classes are tracked at odd primes only")
+    if not 0 < disc_valuation < n:
+        raise OutOfDomainError("disc valuation %d outside (0, %d)" % (disc_valuation, n))
+    g = gcd(n, n - disc_valuation)
+    num, den = n // g, (n - disc_valuation) // g
+    if num % p == 0 or den % p == 0:
+        q = num if den == 1 else "%d/%d" % (num, den)
+        raise OutOfDomainError("square class of %s is not a unit at %d" % (q, p))
+    rep = num * den
+    return AlphaClass(
+        p=p,
+        representative=rep,
+        nonresidue=smallest_nonresidue(p),
+        legendre=legendre(rep, p),
+    )
+
+
+def alpha_matches_disc_formula(n, disc_valuation, alpha):
+    """Whether (alpha_p/p) agrees with the square class of n/(n - v_p(disc))."""
+    return disc_square_class(n, disc_valuation, alpha.p).legendre == alpha.legendre
+
+
+def verify_alpha_formula(analysis, p):
+    """Precondition-checked form of alpha_matches_disc_formula for a field
+    that passed the gamma classification: p must be odd, ramified, tame and
+    not the exceptional prime. Violations raise OutOfDomainError."""
+    from tracegenus.errors import OutOfDomainError
+
+    if not analysis.gamma.is_gamma:
+        raise OutOfDomainError("field is not in the gamma class")
+    if p == 2 or p == analysis.gamma.exceptional:
+        raise OutOfDomainError("prime %d is outside the formula's scope" % p)
+    alpha = analysis.alpha_at(p)
+    if alpha is None:
+        raise OutOfDomainError("no alpha invariant at %d (unramified or wild)" % p)
+    v = dict(analysis.disc_factored).get(p, 0)
+    return alpha_matches_disc_formula(analysis.degree, v, alpha)

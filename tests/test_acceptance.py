@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from helpers import disc_square_class, verify_alpha_formula
 import tracegenus.cli as cli
 from tracegenus.corpus import read_corpus
 from tracegenus.errors import ReducibleInputError
@@ -24,7 +25,7 @@ from tracegenus.genus import (
 from tracegenus.polys import parse_poly
 from tracegenus.report import canonical_bytes
 from tracegenus.splitting import algebra_splitting, split_prime
-from tracegenus.traceform import analyze_field, disc_square_class, verify_alpha_formula
+from tracegenus.traceform import analyze_field
 
 KLEIN_A = "x^4 - 41*x^2 + 144"
 KLEIN_B = "x^4 - x^3 - 46*x^2 - 115*x - 35"

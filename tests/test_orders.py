@@ -13,7 +13,6 @@ from tracegenus.errors import (
     ReducibleInputError,
 )
 from tracegenus.orders import (
-    dedekind_is_pmaximal,
     equation_order,
     maximal_order,
     mult_table,
@@ -124,10 +123,10 @@ def test_dedekind_agrees_with_round2_index():
     for _, text, index, _ in KNOWN_FIELDS:
         f = parse_poly(text)
         for p, v in _square_primes(f):
-            pmax, witnesses = dedekind_is_pmaximal(f, p)
-            assert pmax == (index % p != 0)
-            if not pmax:
-                assert witnesses  # enlargement witnesses come with the verdict
+            witness = orders._dedekind_witness(f, p)
+            assert (witness is None) == (index % p != 0)
+            if witness is not None:  # U(theta)/p enlarges Z[theta]
+                assert 0 < witness.degree < f.degree
                 enlarged = pmaximalize(f, p, v)
                 # the p-maximal order strictly contains Z[theta]
                 assert enlarged.denom % p == 0
@@ -164,7 +163,7 @@ def test_dedekind_maximal_prime_builds_no_table(corpus_records):
     for rec in corpus_records:
         f = parse_poly(rec.text)
         for p, v in _square_primes(f):
-            if not dedekind_is_pmaximal(f, p)[0]:
+            if orders._dedekind_witness(f, p) is not None:
                 continue
             mult_table.cache_clear()
             assert pmaximalize(f, p, v) == equation_order(f)
@@ -197,7 +196,7 @@ def test_pmaximal_dedekind_enlargement_builds_no_table(corpus_records):
     for rec in corpus_records:
         f = parse_poly(rec.text)
         for p, v in _square_primes(f):
-            if dedekind_is_pmaximal(f, p)[0]:
+            if orders._dedekind_witness(f, p) is None:
                 continue
             o1 = orders._round_two_step(equation_order(f), p)
             if v - 2 * orders._valuation(o1.index_in(), p) >= 2:
@@ -233,15 +232,15 @@ def test_dedekind_squarefree_parts_match_factor_mod_p(corpus_records, monkeypatc
         f = parse_poly(rec.text)
         ramified = [p for p, _ in factor_integer(discriminant(f)).factors]
         for p in sorted(set(ramified) | {2, 3, 5, 7}):
-            cases.append((f, p, dedekind_is_pmaximal(f, p)))
+            cases.append((f, p, orders._dedekind_witness(f, p)))
             factored[modp.norm(f.coeffs, p), p] = [
                 (modp.norm(g.coeffs, p), m) for g, m in modp.factor_mod_p(f, p)
             ]
 
     monkeypatch.setattr(modp, "squarefree_decomposition", lambda f_bar, p: factored[f_bar, p])
-    for f, p, verdict in cases:
-        assert dedekind_is_pmaximal(f, p) == verdict, (f, p)
-    assert any(not v[0] for _, _, v in cases)
+    for f, p, witness in cases:
+        assert orders._dedekind_witness(f, p) == witness, (f, p)
+    assert any(w is not None for _, _, w in cases)
 
 
 def test_pmaximalize_reaches_full_p_index():

@@ -7,6 +7,7 @@ import tracegenus.polys as polys_module
 from tracegenus.errors import (
     DegenerateInputError,
     InternalConsistencyError,
+    NonMonicInputError,
     OutOfDomainError,
     ParseError,
 )
@@ -19,7 +20,6 @@ from tracegenus.polys import (
     poly_gcd,
     poly_to_string,
     pseudo_rem,
-    resultant,
     sturm_count_real_roots,
 )
 
@@ -79,6 +79,27 @@ def test_parse_rejects_garbage():
             parse_poly(bad)
 
 
+def test_parse_degree_ceiling():
+    assert parse_poly("x^10000 + 1").degree == 10000
+    assert parse_poly(",".join(["1"] + ["0"] * 9999 + ["1"])).degree == 10000
+    too_high = (
+        "x^10001 + 1",
+        "x^100000000000000000000 + 1",  # once an OverflowError from the dense list
+        "x^10001 - x^10001 + 1",  # checked term by term, before terms cancel
+        ",".join(["1"] + ["0"] * 10000 + ["1"]),
+    )
+    for text in too_high:
+        with pytest.raises(ParseError, match="above the limit 10000"):
+            parse_poly(text)
+
+
+@pytest.mark.parametrize("text", ["x^2 + %s", "x^%s + 1", "%s,0,1"])
+def test_parse_refuses_a_number_too_long_for_int(text):
+    # once a ValueError from int(): Python reads at most 4300 digits
+    with pytest.raises(ParseError, match="5000 digits"):
+        parse_poly(text % ("7" * 5000))
+
+
 def test_parse_collects_repeated_terms():
     assert parse_poly("x + x + 1") == poly(1, 2)
     assert parse_poly("x^2 - x^2 + 1") == poly(1)  # degree drops to 0
@@ -110,15 +131,16 @@ def test_poly_basics():
 
 
 # ---------------------------------------------------------------------------
-# resultants and discriminants against the Sylvester oracle
+# discriminants against the Sylvester oracle
 
 
-@given(polys(max_degree=4, coeff=st.integers(-9, 9)), polys(max_degree=4, coeff=st.integers(-9, 9)))
-def test_resultant_matches_sylvester(f, g):
-    assert resultant(f, g) == sylvester_resultant(f.coeffs, g.coeffs)
+def monic_polys(min_degree=1, max_degree=5, coeff=st.integers(-30, 30)):
+    return st.integers(min_degree, max_degree).flatmap(
+        lambda d: st.lists(coeff, min_size=d, max_size=d).map(lambda cs: IntPoly(tuple(cs) + (1,)))
+    )
 
 
-@given(polys(min_degree=2, max_degree=5, coeff=st.integers(-12, 12)))
+@given(monic_polys(min_degree=2, max_degree=5, coeff=st.integers(-12, 12)))
 def test_discriminant_matches_sylvester(f):
     assert discriminant(f) == sylvester_disc(f.coeffs)
 
@@ -131,19 +153,25 @@ def test_discriminant_frozen_values():
     assert discriminant(parse_poly("x^4 - x^3 - 7*x^2 + 11*x + 3")) == -205379
     assert discriminant(parse_poly("x^6 - 2*x^5 + 3*x^4 - 9*x^3 + 8*x^2 - 7*x - 5")) == 187**2 * 328509
     assert discriminant(parse_poly("x^3 - x^2 - 20*x - 1")) == 32009
+    assert discriminant(parse_poly("x + 7")) == 1
 
 
-@given(polys(max_degree=4, coeff=st.integers(-8, 8)), polys(max_degree=3, coeff=st.integers(-8, 8)))
-def test_resultant_of_product_multiplies(f, g):
-    h = poly(1, 1)  # x + 1
-    # res(f*g, h) = res(f, h) * res(g, h)
-    assert resultant(f * g, h) == resultant(f, h) * resultant(g, h)
+@given(monic_polys(max_degree=4, coeff=st.integers(-8, 8)), monic_polys(max_degree=3, coeff=st.integers(-8, 8)))
+def test_discriminant_of_product_multiplies(f, g):
+    # disc(f*g) = disc(f) * disc(g) * Res(f, g)^2
+    res = sylvester_resultant(f.coeffs, g.coeffs)
+    assert discriminant(f * g) == discriminant(f) * discriminant(g) * res**2
 
 
-def test_resultant_shared_root_is_zero():
-    f = parse_poly("x^2 - 1")
-    g = parse_poly("x^3 - 1")
-    assert resultant(f, g) == 0
+def test_discriminant_of_a_repeated_factor_is_zero():
+    assert discriminant(parse_poly("x^2 - 1") * parse_poly("x - 1")) == 0
+    assert discriminant(parse_poly("x^2 + 1") * parse_poly("x^2 + 1")) == 0
+
+
+@pytest.mark.parametrize("text", ["2*x^2 + 1", "-x^3 + x - 1", "3*x + 1"])
+def test_discriminant_refuses_a_non_monic_polynomial(text):
+    with pytest.raises(NonMonicInputError):
+        discriminant(parse_poly(text))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +277,8 @@ def test_sign_recurrence_on_sparse_polynomials(f):
     if g.degree >= 1:
         assert sturm_count_real_roots(g) == count_real_roots(g.coeffs)
     if f.degree >= 2:
-        assert discriminant(f) == sylvester_disc(f.coeffs)
+        monic = IntPoly(f.coeffs[:-1] + (1,))
+        assert discriminant(monic) == sylvester_disc(monic.coeffs)
 
 
 @pytest.mark.parametrize("text", ["x^3 - x^2", "x^4 + 2*x^2 + 1"])

@@ -5,14 +5,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    alpha_matches_disc_formula,
     brute_legendre,
     brute_nonresidue,
     count_real_roots,
+    disc_square_class,
     frac_det,
     gram_by_products,
     jordan_symbol,
     power_sum_of_roots,
     tschirnhaus,
+    verify_alpha_formula,
 )
 from tracegenus.errors import InvalidPrimeError, OutOfDomainError, WildRamificationError
 from tracegenus.genus import NOT_APPLICABLE, SAME, compare_spinor_genus
@@ -22,10 +25,8 @@ from tracegenus.polys import IntPoly, discriminant, parse_poly, poly_gcd
 from tracegenus.splitting import SplittingType
 from tracegenus.traceform import (
     alpha_invariant,
-    alpha_matches_disc_formula,
     analyze_field,
     classify_gamma,
-    disc_square_class,
     field_signature,
     gamma_test,
     gram_matrix,
@@ -310,9 +311,28 @@ def test_disc_square_class_domain():
         disc_square_class(9, 3, 3)
 
 
-def test_verify_alpha_formula_on_gamma_fields(corpus_analyses):
-    from tracegenus.traceform import verify_alpha_formula
+@given(
+    st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23]),
+    st.integers(2, 12),
+    st.integers(0, 2).flatmap(lambda k: st.lists(st.integers(1, 4), min_size=2 * k + 1, max_size=2 * k + 1)),
+)
+def test_alpha_is_the_disc_square_class_at_every_gamma_prime(p, e, residue_degrees):
+    # a prime passing the gamma test has one index e and odd g and F = n/e,
+    # so alpha_p = e^F u^(F - g) is e mod squares, and so is n/(n - v_p(d_K))
+    # as v_p(d_K) = (e - 1) F: the formula is an identity, not a cross-check
+    if e % p == 0:
+        e += 1  # tame
+    fs = list(residue_degrees)
+    if sum(fs) % 2 == 0:
+        fs[0] += 1  # F odd
+    split = SplittingType(p=p, pairs=tuple(sorted((e, f) for f in fs)))
+    n = e * sum(fs)
+    assert gamma_test(n, split).passes
+    alpha = alpha_invariant(split)
+    assert alpha.legendre == disc_square_class(n, split.tame_disc_valuation, p).legendre
 
+
+def test_verify_alpha_formula_on_gamma_fields(corpus_analyses):
     d12 = corpus_analyses["d12-sextic"]
     assert verify_alpha_formula(d12, 3)
     with pytest.raises(OutOfDomainError):
