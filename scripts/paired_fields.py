@@ -9,7 +9,10 @@ directory as two packages with different names (the package imports itself
 only relatively), generates the benchmark workload with
 perfbench/workloads.py, and runs each field through analyze_field,
 analysis_document and canonical_bytes on both sides, alternating which side
-goes first, after clearing that side's mult_table cache. Both sides must
+goes first. Before each field it clears every cache of that side's package,
+that is every module attribute with a cache_clear method (mult_table,
+is_prime, and any cache added later), so each repeat pays what a fresh
+process pays. Both sides must
 give the same canonical bytes on every field. It prints each side's median
 field time (p50), the benchmark's tail percentile and the sum of per-field
 medians, and the ratios B / A.
@@ -51,9 +54,18 @@ def load_side(checkout, name, tmp):
     return pkg
 
 
+def clear_caches(name):
+    """Clear every cache_clear-able attribute of the package `name`'s
+    loaded modules."""
+    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == name]:
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
 def run_field(pkg, rec, poly):
     """(seconds, canonical bytes or the error's name) of one field."""
-    pkg.orders.mult_table.cache_clear()
+    clear_caches(pkg.__name__)
     t0 = time.perf_counter()
     try:
         fa = pkg.traceform.analyze_field(poly)

@@ -48,7 +48,6 @@ _HOMES = {  # home module -> the public names it defines
         "alpha_invariant",
         "analyze_field",
         "classify_gamma",
-        "field_signature",
         "gram_matrix",
         "power_sums",
     ),

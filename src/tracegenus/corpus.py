@@ -1,13 +1,16 @@
 """Corpus files: minimal CSV with one `label,polynomial` record per line.
 
 Lines whose first non-blank character is `#` are comments. A header row is
-tolerated: if the first data row's second column does not parse as a
-polynomial, that row is dropped as a header (only the first row gets this
-treatment; later unparseable rows surface as per-record errors downstream).
+tolerated: the first data row is dropped as a header when its polynomial
+column holds no ASCII digit and does not parse, as `label,polynomial` does.
+A first row that names numbers stays a record even if it does not parse (a
+degree above the limit, a number split by a space), and so does every later
+row: scan reports them as failed records.
 """
 
 import csv
 import io
+import re
 from typing import NamedTuple
 
 from .errors import ParseError
@@ -39,7 +42,7 @@ def parse_corpus(text):
             )
         label = row[0].strip()
         poly_text = ",".join(row[1:]).strip()
-        if i == 0:
+        if i == 0 and not re.search("[0-9]", poly_text):
             try:
                 parse_poly(poly_text)
             except ParseError:

@@ -69,7 +69,9 @@ def hnf_lower(rows, ncols):
 # determinants and exact solving
 
 def det_bareiss(matrix):
-    """Fraction-free determinant (Bareiss)."""
+    """Fraction-free determinant (Bareiss). No command calls it (the trace
+    form's det comes from signature_of_symmetric); perfbench/tracer.py traces
+    it and tests use it as a reference until ROADMAP item 5 step 3."""
     n = len(matrix)
     if n == 0:
         return 1
@@ -168,14 +170,15 @@ def left_kernel_mod_p(matrix, p):
 
 
 def signature_of_symmetric(gram):
-    """Signature (positives, negatives) of a nonsingular symmetric integer
+    """((positives, negatives), det) of a nonsingular symmetric integer
     matrix, by fraction-free symmetric Bareiss elimination.
 
     The live block is always prev times the rational Schur complement of the
     pivots taken so far, so every division is exact and the rational pivot
     d / prev is positive exactly when d * prev > 0. When every live diagonal
     entry is zero, adding row and column j to row and column i (a unimodular
-    congruence) puts 2 * m[i][j] on the diagonal.
+    congruence) puts 2 * m[i][j] on the diagonal. Neither that nor the order
+    of the pivots changes the det, which the last pivot is (1 for n = 0).
     """
     m = [list(r) for r in gram]
     live = list(range(len(m)))
@@ -204,4 +207,4 @@ def signature_of_symmetric(gram):
             for j in live:
                 mi[j] = (d * mi[j] - c * mk[j]) // prev
         prev = d
-    return pos, neg
+    return (pos, neg), prev

@@ -359,7 +359,10 @@ def exact_quotient(a, b):
 
 
 def sturm_count_real_roots(f):
-    """Number of distinct real roots of a squarefree f, by Sturm's theorem."""
+    """Number of distinct real roots of a squarefree f, by Sturm's theorem.
+    No command calls it (a field's (r, s) comes from its trace form);
+    perfbench/tracer.py traces it and tests use it as a reference, with the
+    signs of _subresultant_prs, until ROADMAP item 5 step 3."""
     if f.degree < 1:
         raise DegenerateInputError("Sturm count of a constant polynomial")
     # f and f' have contents of one sign, so their primitive parts give the

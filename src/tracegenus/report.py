@@ -10,11 +10,11 @@ The codec table below is the format's only statement: one (document key,
 wire codec) entry per value of each type a document carries, read by the
 encoders, by `analysis_from_document` and by the renderers. Derived keys (g,
 residue_degree_sum, tame, homogeneous, unit_rep, passes, equal) name
-properties, and an analysis document's degree, index, disc, alphas, gamma
-and trace_form are what field_analysis derives: all are written, never read
-back. Only the top level of an analysis document is spelled out in both
-directions, as its keys come from MaximalOrder and Order rather than from
-one tuple.
+properties, and an analysis document's degree, signature, index, disc,
+alphas, gamma and trace_form are what field_analysis derives: all are
+written, never read back. Only the top level of an analysis document is
+spelled out in both directions, as its keys come from MaximalOrder and
+Order rather than from one tuple.
 
 The `meta` key is the non-canonical envelope (timing, cache notes); the
 canonical byte form of a document is the compact sorted-key dump with `meta`
@@ -191,9 +191,9 @@ def analysis_document(analysis, source_text):
 
 def analysis_from_document(doc):
     """The FieldAnalysis of a document, rebuilt by field_analysis from its
-    primary keys (coefficients, basis, disc_factorization, signature and
-    splittings), so that cached documents feed the comparators: everything
-    else is derived again, never read."""
+    primary keys (coefficients, basis, disc_factorization and splittings),
+    so that cached documents feed the comparators: everything else is
+    derived again, never read."""
     poly = IntPoly(_BIGS.decode(doc["coefficients"]))
     order = Order(
         poly=poly,
@@ -203,7 +203,6 @@ def analysis_from_document(doc):
     disc_factored = _DISC_FACTORIZATION.decode(doc["disc_factorization"])
     return field_analysis(
         MaximalOrder(order=order, disc_factored=disc_factored),
-        _COUNTS.decode(doc["signature"]),
         _SPLITTINGS.decode(doc["splittings"]),
     )
 

@@ -3,7 +3,8 @@ ramified primes.
 
 The Gram matrix of (x, y) -> Tr(xy) on an integral basis has determinant
 equal to the field discriminant and signature (r+s, s) where (r, s) counts
-real and conjugate complex embeddings. At each odd tamely ramified prime the
+real and conjugate complex embeddings; one elimination of it gives both, so
+(r, s) is read from the form. At each odd tamely ramified prime the
 splitting data compresses into a square class
 
     alpha_p = prod e_i^(f_i) * u^(F - g)   (u the least nonresidue mod p)
@@ -19,9 +20,9 @@ from .errors import (
     InvalidPrimeError,
     WildRamificationError,
 )
-from .linalg import det_bareiss, signature_of_symmetric
+from .linalg import signature_of_symmetric
 from .orders import maximal_order, order_from_rows
-from .polys import IntPoly, sturm_count_real_roots
+from .polys import IntPoly
 from .splitting import split_prime
 
 
@@ -49,9 +50,8 @@ def gram_matrix(order):
 
     With B = basis_num, d = denom and the Hankel matrix H[a][b] = s_(a+b) =
     Tr(theta^(a+b)) of power sums, the Gram matrix is B H B^T / d^2; no
-    product is reduced mod f. Accepts an Order or a MaximalOrder.
+    product is reduced mod f.
     """
-    order = getattr(order, "order", order)
     n = order.degree
     d2 = order.denom ** 2
     sums = power_sums(order.poly, 2 * n - 2)
@@ -78,16 +78,8 @@ class TraceForm(NamedTuple):
     @classmethod
     def of_order(cls, order):
         gram = gram_matrix(order)
-        return cls(gram=gram, det=det_bareiss(gram), signature=signature_of_symmetric(gram))
-
-
-def field_signature(f):
-    """(r, s): real embeddings and conjugate pairs, by Sturm's theorem."""
-    r = sturm_count_real_roots(f)
-    s, rem = divmod(f.degree - r, 2)
-    if rem:  # pragma: no cover
-        raise InternalConsistencyError("degree minus real roots is odd")
-    return r, s
+        signature, det = signature_of_symmetric(gram)
+        return cls(gram=gram, det=det, signature=signature)
 
 
 class AlphaClass(NamedTuple):
@@ -202,12 +194,6 @@ class FieldAnalysis(NamedTuple):
     gamma: GammaClassification
     trace_form: TraceForm
 
-    def splitting_at(self, p):
-        for s in self.splittings:
-            if s.p == p:
-                return s
-        return None
-
     def alpha_at(self, p):
         for a in self.alphas:
             if a.p == p:
@@ -215,22 +201,23 @@ class FieldAnalysis(NamedTuple):
         return None
 
 
-def field_analysis(max_order, signature, splittings):
-    """The FieldAnalysis of a maximal order, its field signature (r, s) and
-    its splitting types at the disc primes, computed or decoded: the trace
-    form, disc, index, degree, alphas and gamma are derived here, disc as
-    the Gram determinant. Raises InternalConsistencyError if the parts
-    contradict each other, or if the basis is not the canonical HNF that
-    order_from_rows makes of it; a disc factor is proven prime only where an
-    alpha class needs it.
+def field_analysis(max_order, splittings):
+    """The FieldAnalysis of a maximal order and its splitting types at the
+    disc primes, computed or decoded. The trace form, disc, signature, index,
+    degree, alphas and gamma are derived here; one elimination of the form
+    gives disc as its determinant and (r, s) = (pos - neg, neg) from its
+    inertia (pos, neg) = (r + s, s). Raises InternalConsistencyError if the
+    parts contradict each other, or if the basis is not the canonical HNF
+    that order_from_rows makes of it; a disc factor is proven prime only
+    where an alpha class needs it.
     """
     mo = max_order
     order = mo.order
     if order.denom < 1 or order_from_rows(order.poly, order.basis_num, order.denom) != order:
         raise InternalConsistencyError("basis is not in canonical form")
     n = mo.degree
-    r, s = signature
     trace_form = TraceForm.of_order(order)
+    pos, neg = trace_form.signature
     disc = trace_form.det
     factored = mo.disc_factored
     last = 1
@@ -242,9 +229,6 @@ def field_analysis(max_order, signature, splittings):
         last = p
     if factored.sign not in (1, -1) or factored.value() != disc:
         raise InternalConsistencyError("factored disc does not match the Gram determinant")
-    # the inertia of the form fixes the sign of its determinant, disc
-    if trace_form.signature != (r + s, s):
-        raise InternalConsistencyError("trace form signature contradicts embeddings")
     if [st.p for st in splittings] != factored.primes():
         raise InternalConsistencyError("splittings are not at the disc primes")
     for st in splittings:
@@ -257,7 +241,7 @@ def field_analysis(max_order, signature, splittings):
     return FieldAnalysis(
         poly=mo.poly,
         degree=n,
-        signature=(r, s),
+        signature=(pos - neg, neg),
         disc=disc,
         disc_factored=factored.factors,
         index=mo.index,
@@ -281,4 +265,4 @@ def analyze_field(f):
     """
     mo = maximal_order(f)
     splittings = tuple(split_prime(mo, p) for p in mo.disc_factored.primes())
-    return field_analysis(mo, field_signature(f), splittings)
+    return field_analysis(mo, splittings)

@@ -227,6 +227,21 @@ def count_real_roots(coeffs):
 
 
 # ---------------------------------------------------------------------------
+# the field's (r, s) from its polynomial's real roots
+
+
+def field_signature(f):
+    """(r, s): real embeddings and conjugate pairs of squarefree f, by
+    Sturm's theorem; the library reads (r, s) from the trace form."""
+    from tracegenus.polys import sturm_count_real_roots
+
+    r = sturm_count_real_roots(f)
+    s, rem = divmod(f.degree - r, 2)
+    assert rem == 0, "degree minus real roots is odd"
+    return r, s
+
+
+# ---------------------------------------------------------------------------
 # elementary number theory by brute force
 
 
@@ -490,6 +505,15 @@ def jordan_symbol(gram, p):
             if a != i
         ]
     return symbol
+
+
+# ---------------------------------------------------------------------------
+# lookups on a FieldAnalysis
+
+
+def splitting_at(analysis, p):
+    """The analysis's SplittingType at p, or None if p is unramified."""
+    return next((s for s in analysis.splittings if s.p == p), None)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from helpers import disc_square_class, verify_alpha_formula
+from helpers import disc_square_class, splitting_at, verify_alpha_formula
 import tracegenus.cli as cli
 from tracegenus.corpus import read_corpus
 from tracegenus.errors import ReducibleInputError
@@ -75,8 +75,8 @@ def test_criterion_01_klein_pair_distinguished():
         fa, fb = _analyze(KLEIN_A), _analyze(KLEIN_B)
         assert fa.disc == fb.disc == 1221025
         assert fa.disc_factored == ((5, 2), (13, 2), (17, 2))
-        assert fa.splitting_at(5).g == 1
-        assert fb.splitting_at(5).g == 2
+        assert splitting_at(fa, 5).g == 1
+        assert splitting_at(fb, 5).g == 2
         assert compare_spinor_genus(fa, fb).verdict == DIFFERENT
         gate.done()
 
@@ -85,7 +85,7 @@ def test_criterion_02_totally_ramified_quartic():
     with _Gate(2, "quartic ramified only at 59, totally", budget=1.0) as gate:
         fa = _analyze(S4_QUARTIC)
         assert [st.p for st in fa.splittings] == [59]
-        assert fa.splitting_at(59).pairs == ((4, 1),)
+        assert splitting_at(fa, 59).pairs == ((4, 1),)
         assert fa.gamma.is_gamma
         assert fa.gamma.exceptional is None
         gate.done()
@@ -96,11 +96,11 @@ def test_criterion_03_d12_sextic_profile():
         fa = _analyze(D12_SEXTIC)
         assert fa.disc == 328509
         assert fa.disc_factored == ((3, 3), (23, 3))
-        assert fa.splitting_at(3).pairs == ((2, 3),)
+        assert splitting_at(fa, 3).pairs == ((2, 3),)
         # index 187 = 11*17 is prime to 23, so the mod-23 factorisation
         # (x + 7)^2 (x^2 - 8x + 11)^2 gives the shape; both routes must agree
         assert fa.index == 187
-        assert fa.splitting_at(23).pairs == ((2, 1), (2, 2))
+        assert splitting_at(fa, 23).pairs == ((2, 1), (2, 2))
         assert split_prime(fa.max_order, 23).pairs == ((2, 1), (2, 2))
         assert algebra_splitting(fa.max_order, 23).pairs == ((2, 1), (2, 2))
         # 23 is homogeneous with odd n/e = 3 but has g = 2 primes above it,
@@ -123,10 +123,10 @@ def test_criterion_04_sextic_pair_same_genus():
         assert fa.signature == fb.signature == (0, 3)
         assert fa.disc == fb.disc == -309123
         assert fa.disc_factored == ((3, 3), (107, 2))
-        assert fa.splitting_at(3).g == 1
-        assert fb.splitting_at(3).g == 3
-        assert all(e == 2 for e, _ in fa.splitting_at(3).pairs)
-        assert all(e == 2 for e, _ in fb.splitting_at(3).pairs)
+        assert splitting_at(fa, 3).g == 1
+        assert splitting_at(fb, 3).g == 3
+        assert all(e == 2 for e, _ in splitting_at(fa, 3).pairs)
+        assert all(e == 2 for e, _ in splitting_at(fb, 3).pairs)
         assert fa.gamma.exceptional == fb.gamma.exceptional == 107
         assert compare_spinor_genus(fa, fb).verdict == SAME
         prediction = predict_equivalence(fa, fb)

@@ -282,6 +282,17 @@ def test_scan_mixed_corpus_keeps_going(capsys, tmp_path):
     assert by_label["garbage"]["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize("first", ["big,x^10001 + 1", "huge,x^2 + 1 2"])
+def test_scan_reports_an_unparseable_first_row(capsys, tmp_path, first):
+    corpus = tmp_path / "first.csv"
+    corpus.write_text(first + "\ngood,x^2 - 5\n")
+    code, out, _ = run_cli(capsys, "scan", str(corpus), "--no-cache")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["count"], doc["ok"], doc["failed"]) == (2, 1, 1)
+    assert doc["records"][0]["error"]["type"] == "ParseError"
+
+
 def test_scan_all_failed_exit_1(capsys, tmp_path):
     corpus = tmp_path / "broken.csv"
     corpus.write_text("a,x^2 - 1\nb,x^2 - 4\n")
@@ -568,7 +579,7 @@ def test_every_public_name_resolves_to_its_home_module(repo_root):
         "star = {}\n"
         "exec('from tracegenus import *', star)\n"
         "del star['__builtins__']\n"
-        "assert sorted(star) == tracegenus.__all__ and len(star) == 49, sorted(star)\n"
+        "assert sorted(star) == tracegenus.__all__ and len(star) == 48, sorted(star)\n"
         "for home, names in tracegenus._HOMES.items():\n"
         "    module = importlib.import_module('tracegenus.' + home)\n"
         "    for name in names:\n"

@@ -26,6 +26,15 @@ def test_header_row_is_dropped():
     assert [r.label for r in records] == ["a"]
 
 
+@pytest.mark.parametrize("first", ["big,x^10001 + 1", "huge,x^2 + 1 2"])
+def test_unparseable_first_row_with_digits_is_a_record(first):
+    # refused for a limit or a misread number, not a header
+    records = parse_corpus(first + "\ngood,x^2 - 5\n")
+    assert [r.label for r in records] == [first.split(",")[0], "good"]
+    with pytest.raises(ParseError):
+        parse_poly(records[0].text)
+
+
 def test_header_tolerance_applies_only_to_first_row():
     # a later unparseable polynomial is kept as a record; the caller decides
     # what to do when it fails to parse

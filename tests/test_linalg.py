@@ -170,7 +170,7 @@ def test_rref_mod_p_is_reduced(nrows, ncols, seed):
 
 
 # ---------------------------------------------------------------------------
-# signatures of symmetric forms
+# signatures and determinants of symmetric forms, from one elimination
 
 
 def jacobi_signature(gram):
@@ -188,11 +188,12 @@ def jacobi_signature(gram):
 
 
 def test_signature_hand_values():
-    assert signature_of_symmetric([[1, 0], [0, -1]]) == (1, 1)
-    assert signature_of_symmetric([[0, 1], [1, 0]]) == (1, 1)  # hyperbolic plane
-    assert signature_of_symmetric([[-2]]) == (0, 1)
-    assert signature_of_symmetric([[2, 1], [1, 3]]) == (2, 0)
-    assert signature_of_symmetric([[2, 0], [0, -2]]) == (1, 1)
+    assert signature_of_symmetric([[1, 0], [0, -1]]) == ((1, 1), -1)
+    assert signature_of_symmetric([[0, 1], [1, 0]]) == ((1, 1), -1)  # hyperbolic plane
+    assert signature_of_symmetric([[-2]]) == ((0, 1), -2)
+    assert signature_of_symmetric([[2, 1], [1, 3]]) == ((2, 0), 5)
+    assert signature_of_symmetric([[2, 0], [0, -2]]) == ((1, 1), -4)
+    assert signature_of_symmetric([]) == ((0, 0), 1)
 
 
 @given(st.integers(1, 5), st.integers(0, 2**30))
@@ -205,22 +206,28 @@ def test_signature_matches_jacobi_minors(n, seed):
     expected = jacobi_signature(gram)
     if expected is None or frac_det(gram) == 0:
         return
-    assert signature_of_symmetric(gram) == expected
+    assert signature_of_symmetric(gram) == (expected, det_bareiss(gram))
 
 
-@given(st.integers(1, 4), st.integers(0, 2**30), st.integers(0, 2**30))
-def test_signature_is_congruence_invariant(n, seed1, seed2):
+@given(st.integers(1, 4), st.integers(0, 2**30), st.integers(0, 2**30), st.booleans())
+def test_signature_is_congruence_invariant(n, seed1, seed2, zero_diagonal):
+    """The inertia and det (det U = +-1) survive a unimodular congruence,
+    and the det is det_bareiss's; a zero diagonal takes the congruence step
+    of the elimination at its first pivot."""
     rng = random.Random(seed1)
     gram = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
-            gram[i][j] = gram[j][i] = rng.randint(-6, 6)
-    if frac_det(gram) == 0:
+            gram[i][j] = gram[j][i] = 0 if zero_diagonal and i == j else rng.randint(-6, 6)
+    det = det_bareiss(gram)
+    if det == 0:
         return
     u = unimodular(n, seed2)
     ut = [[u[j][i] for j in range(n)] for i in range(n)]
     transformed = mat_mul(mat_mul(u, gram), ut)
-    assert signature_of_symmetric(transformed) == signature_of_symmetric(gram)
+    inertia, got = signature_of_symmetric(gram)
+    assert got == det
+    assert signature_of_symmetric(transformed) == (inertia, det)
 
 
 @given(
@@ -230,7 +237,8 @@ def test_signature_is_congruence_invariant(n, seed1, seed2):
 )
 def test_signature_of_hyperbolic_planes(h, diag, seed):
     """h hyperbolic planes (zero diagonal) plus diag(a_i), as given and
-    conjugated by a unimodular matrix, has signature (pos + h, neg + h)."""
+    conjugated by a unimodular matrix, has signature (pos + h, neg + h) and
+    the det that det_bareiss finds."""
     n = 2 * h + len(diag)
     form = [[0] * n for _ in range(n)]
     for k in range(h):
@@ -238,7 +246,7 @@ def test_signature_of_hyperbolic_planes(h, diag, seed):
     for k, a in enumerate(diag):
         form[2 * h + k][2 * h + k] = a
     pos = sum(a > 0 for a in diag)
-    expected = (pos + h, len(diag) - pos + h)
+    expected = ((pos + h, len(diag) - pos + h), det_bareiss(form))
     u = unimodular(n, seed)
     ut = [[u[j][i] for j in range(n)] for i in range(n)]
     assert signature_of_symmetric(form) == expected

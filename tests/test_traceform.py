@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -10,24 +11,27 @@ from helpers import (
     brute_nonresidue,
     count_real_roots,
     disc_square_class,
+    field_signature,
     frac_det,
     gram_by_products,
     jordan_symbol,
     power_sum_of_roots,
+    splitting_at,
     tschirnhaus,
     verify_alpha_formula,
 )
+from tracegenus import linalg, polys
 from tracegenus.errors import InvalidPrimeError, OutOfDomainError, WildRamificationError
 from tracegenus.genus import NOT_APPLICABLE, SAME, compare_spinor_genus
 from tracegenus.linalg import signature_of_symmetric
 from tracegenus.orders import equation_order, maximal_order
 from tracegenus.polys import IntPoly, discriminant, parse_poly, poly_gcd
+from tracegenus.report import analysis_document, analysis_from_document
 from tracegenus.splitting import SplittingType
 from tracegenus.traceform import (
     alpha_invariant,
     analyze_field,
     classify_gamma,
-    field_signature,
     gamma_test,
     gram_matrix,
     power_sums,
@@ -77,15 +81,15 @@ def test_trace_of_basis_elements():
 
 def test_gram_quadratic_hand_values():
     mo = maximal_order(parse_poly("x^2 - 5"))
-    tf = gram_matrix(mo)
+    tf = gram_matrix(mo.order)
     assert tf == ((2, 1), (1, 3))  # basis 1, (1+sqrt5)/2
     mo = maximal_order(parse_poly("x^2 + 1"))
-    assert gram_matrix(mo) == ((2, 0), (0, -2))
+    assert gram_matrix(mo.order) == ((2, 0), (0, -2))
 
 
 def test_gram_quartic_frozen():
     mo = maximal_order(parse_poly("x^4 - 41*x^2 + 144"))
-    gram = gram_matrix(mo)
+    gram = gram_matrix(mo.order)
     assert gram == (
         (4, 0, 41, 2),
         (0, 82, 41, 181),
@@ -110,11 +114,11 @@ def test_gram_quartic_frozen():
 def test_gram_det_is_field_disc_and_signature_matches(text):
     f = parse_poly(text)
     mo = maximal_order(f)
-    gram = gram_matrix(mo)
+    gram = gram_matrix(mo.order)
     assert all(gram[i][j] == gram[j][i] for i in range(len(gram)) for j in range(len(gram)))
     assert frac_det(gram) == mo.disc
     r, s = field_signature(f)
-    assert signature_of_symmetric(gram) == (r + s, s)
+    assert signature_of_symmetric(gram) == ((r + s, s), mo.disc)
 
 
 def test_gram_matches_polynomial_products_on_corpus(corpus_analyses):
@@ -129,7 +133,7 @@ def test_gram_matches_polynomial_products_on_corpus(corpus_analyses):
 @pytest.mark.parametrize("text", ["x^32 + 1", "x^40 - 3"])
 def test_gram_matches_polynomial_products_in_high_degree(text):
     mo = maximal_order(parse_poly(text))
-    assert gram_matrix(mo) == gram_by_products(mo.order)
+    assert gram_matrix(mo.order) == gram_by_products(mo.order)
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +151,38 @@ def test_field_signature_frozen():
 
 @given(st.lists(st.integers(-20, 20), min_size=2, max_size=5))
 def test_field_signature_matches_root_count(cs):
+    # the power-basis trace form of any squarefree f has inertia (r + s, s)
+    # and det disc(f), irreducible or not
     f = IntPoly(tuple(cs) + (1,))
     if poly_gcd(f, f.derivative()).degree > 0:
         return
     r, s = field_signature(f)
     assert r + 2 * s == f.degree
     assert r == count_real_roots(f.coeffs)
+    assert signature_of_symmetric(gram_matrix(equation_order(f))) == ((r + s, s), discriminant(f))
+
+
+def test_form_signature_matches_sturm_on_corpus(corpus_analyses):
+    for label, fa in corpus_analyses.items():
+        assert fa.signature == field_signature(fa.poly), label
+
+
+def test_no_command_path_calls_sturm_or_bareiss(monkeypatch, corpus_records):
+    """analyze_field and a cache decode read det and (r, s) from the one
+    elimination: Sturm and the second determinant raise if reached."""
+
+    def unreachable(*args):
+        raise AssertionError("called off the analysis path")
+
+    for original in (linalg.det_bareiss, polys.sturm_count_real_roots):
+        for name, module in list(sys.modules.items()):
+            if module is not None and name.split(".")[0] == "tracegenus":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, unreachable)
+    for rec in corpus_records:
+        fa = analyze_field(parse_poly(rec.text))
+        assert analysis_from_document(analysis_document(fa, rec.text)) == fa, rec.label
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +445,7 @@ def test_analyze_field_structure():
     assert analysis.disc == 1221025
     assert analysis.index == 48
     assert [sp.p for sp in analysis.splittings] == [5, 13, 17]
-    assert analysis.splitting_at(13).pairs == ((2, 1), (2, 1))
+    assert splitting_at(analysis, 13).pairs == ((2, 1), (2, 1))
     assert analysis.alpha_at(17).legendre == -1
     assert analysis.alpha_at(19) is None
     assert analysis.trace_form.det == 1221025
