@@ -29,13 +29,7 @@ from .errors import (
     ReducibleInputError,
     TraceGenusError,
 )
-from .genus import (
-    NOT_APPLICABLE,
-    SAME,
-    compare_spinor_genus,
-    cross_validate,
-    predict_equivalence,
-)
+from .genus import NOT_APPLICABLE, SAME, cross_validate
 from .polys import coeff_csv, parse_poly
 from .traceform import analyze_field
 
@@ -204,8 +198,7 @@ def _emit(doc, args, render):
 
 def _emit_error(exc, args):
     """Print the error document of exc; returns the exit code of its kind."""
-    factors = getattr(exc, "factors", None)
-    doc = report.error_document(exc, factors=factors)
+    doc = report.error_document(exc)
     if args.human:
         sys.stdout.write("error: %s\n" % doc["error"]["message"])
         for g in doc["error"].get("factors", []):
@@ -245,17 +238,14 @@ def cmd_compare(args):
             docs.append(doc)
     except TraceGenusError as exc:
         return _emit_error(exc, args)
-    comparison = compare_spinor_genus(*analyses)
-    prediction = predict_equivalence(*analyses)
-    crossval = None
-    if comparison.verdict != NOT_APPLICABLE and prediction.applicable:
-        crossval = cross_validate(*analyses)
-    doc = report.comparison_document(docs[0], docs[1], comparison, prediction, crossval)
+    crossval = cross_validate(*analyses)
+    doc = report.comparison_document(docs[0], docs[1], crossval)
     doc["meta"] = _meta(t0, warnings)
     _emit(doc, args, report.render_comparison)
-    if comparison.verdict == SAME:
+    verdict = crossval.comparison.verdict
+    if verdict == SAME:
         return EXIT_OK
-    if comparison.verdict == NOT_APPLICABLE:
+    if verdict == NOT_APPLICABLE:
         return EXIT_NOT_APPLICABLE
     return EXIT_DIFFERENT
 
@@ -267,7 +257,7 @@ def _scan_one(task):
         _, doc, warnings = analyze_text(text, cache_dir)
         record = {"label": label, "input": text, "ok": True, "analysis": doc}
     except TraceGenusError as exc:
-        err = report.error_document(exc, factors=getattr(exc, "factors", None))
+        err = report.error_document(exc)
         record = {"label": label, "input": text, "ok": False, "error": err["error"]}
         warnings = []
     return record, warnings
@@ -337,10 +327,9 @@ def _pair_sweep(records):
             for j in range(i + 1, len(group)):
                 la, fa = group[i]
                 lb, fb = group[j]
-                prediction = predict_equivalence(fa, fb)
-                if not prediction.applicable:
-                    continue
                 cv = cross_validate(fa, fb)
+                if cv.consistent is None:
+                    continue
                 details.append(
                     {
                         "left": la,

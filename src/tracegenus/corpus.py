@@ -23,7 +23,7 @@ class CorpusRecord(NamedTuple):
 
 
 def read_corpus(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # drops a leading BOM
         return parse_corpus(fh.read())
 
 

@@ -13,8 +13,6 @@ Two routes that must agree on their common domain:
 
 from typing import NamedTuple
 
-from .errors import OutOfDomainError
-
 SAME = "same-spinor-genus"
 DIFFERENT = "different"
 NOT_APPLICABLE = "not-applicable"
@@ -131,20 +129,16 @@ def predict_equivalence(left, right):
 class CrossValidation(NamedTuple):
     comparison: ComparisonResult
     prediction: EquivalencePrediction
-    consistent: bool
+    consistent: bool | None  # None unless both routes apply
 
 
 def cross_validate(left, right):
-    """Run both routes and check they agree; raises OutOfDomainError unless
-    both are applicable to the pair."""
+    """Run both routes once and check they agree where both apply."""
     comparison = compare_spinor_genus(left, right)
     prediction = predict_equivalence(left, right)
-    if comparison.verdict == NOT_APPLICABLE or not prediction.applicable:
-        raise OutOfDomainError(
-            "cross validation needs both decision routes to apply: %s"
-            % (comparison.reason or prediction.reason)
-        )
-    consistent = prediction.predicted_same == (comparison.verdict == SAME)
+    consistent = None
+    if comparison.verdict != NOT_APPLICABLE and prediction.applicable:
+        consistent = prediction.predicted_same == (comparison.verdict == SAME)
     return CrossValidation(
         comparison=comparison,
         prediction=prediction,

@@ -314,7 +314,8 @@ def maximal_order(f):
     """The maximal order of Q[x]/(f) for monic irreducible f.
 
     Round-2 enlargement at every prime whose square divides disc(f), then a
-    single lattice join. Degree 1 is accepted (the order is Z).
+    single lattice join of the local orders that Round 2 enlarged. Degree 1
+    is accepted (the order is Z).
     """
     _require_field_poly(f)
     factors = factor_over_z(f)
@@ -324,7 +325,11 @@ def maximal_order(f):
             factors=[g for g, _ in factors],
         )
     disc_fact = factor_integer(discriminant(f))
+    # a local order over denominator 1 contains Z[theta] and lies in it, so
+    # it is Z[theta], which lies in every order: it adds nothing to the join,
+    # and as a ring it needs no closure proof
     locals_ = [pmaximalize(f, p, e) for p, e in disc_fact.factors if e >= 2]
+    locals_ = [o for o in locals_ if o.denom > 1]
     if not locals_:
         return MaximalOrder(order=equation_order(f), disc_factored=disc_fact)
     common = 1

@@ -25,6 +25,7 @@ import json
 from typing import NamedTuple
 
 from .arith import PrimeFactorization
+from .errors import ReducibleInputError
 from .genus import NOT_APPLICABLE, AlphaRow, ComparisonResult, EquivalencePrediction
 from .orders import MaximalOrder, Order
 from .polys import IntPoly, poly_to_string
@@ -207,23 +208,27 @@ def analysis_from_document(doc):
     )
 
 
-def comparison_document(left_doc, right_doc, comparison, prediction, crossval):
+def comparison_document(left_doc, right_doc, crossval):
+    """Canonical CompareDocument of one genus.cross_validate result; its
+    cross_validation is null unless both decision routes apply."""
     return {
         "schema": COMPARE_SCHEMA,
         "left": left_doc,
         "right": right_doc,
-        "comparison": _COMPARISON.encode(comparison),
-        "prediction": _PREDICTION.encode(prediction),
+        "comparison": _COMPARISON.encode(crossval.comparison),
+        "prediction": _PREDICTION.encode(crossval.prediction),
         "cross_validation": None
-        if crossval is None
+        if crossval.consistent is None
         else {"consistent": crossval.consistent},
     }
 
 
-def error_document(exc, factors=None):
+def error_document(exc):
+    """Canonical ErrorDocument of exc, with the factors that a
+    ReducibleInputError carries."""
     error = {"type": type(exc).__name__, "message": str(exc)}
-    if factors is not None:
-        error["factors"] = [poly_to_string(g) for g in factors]
+    if isinstance(exc, ReducibleInputError):
+        error["factors"] = [poly_to_string(g) for g in exc.factors]
     return {"schema": ERROR_SCHEMA, "error": error}
 
 

@@ -140,6 +140,25 @@ def test_compare_not_applicable_exit_4(capsys):
     assert doc["comparison"]["reason"] == "degree-too-small"
 
 
+@pytest.mark.parametrize(
+    "left, right, code, crossval",
+    [(PAIR_A, PAIR_B, 0, {"consistent": True}), (KLEIN_A, KLEIN_B, 1, None)],
+)
+def test_compare_runs_each_decision_route_once(capsys, monkeypatch, left, right, code, crossval):
+    from tracegenus import genus
+
+    calls = []
+    for name in ("compare_spinor_genus", "predict_equivalence"):
+        # cli reaches the routes only through genus.cross_validate
+        assert not hasattr(cli, name)
+        route = getattr(genus, name)
+        monkeypatch.setattr(genus, name, lambda a, b, name=name, route=route: calls.append(name) or route(a, b))
+    exit_code, out, _ = run_cli(capsys, "compare", left, right, "--no-cache")
+    assert exit_code == code
+    assert json.loads(out)["cross_validation"] == crossval
+    assert sorted(calls) == ["compare_spinor_genus", "predict_equivalence"]
+
+
 def test_compare_parse_error_exit_2(capsys):
     code, out, _ = run_cli(capsys, "compare", "x^2 - 5", "garbage", "--no-cache")
     assert code == 2

@@ -85,6 +85,15 @@ def test_read_corpus_matches_parse_corpus(tmp_path):
     assert read_corpus(path) == parse_corpus(text)
 
 
+@pytest.mark.parametrize("header", ["", "label,polynomial\n"])
+def test_read_corpus_drops_a_utf8_bom(tmp_path, header):
+    # the BOM is no part of the first label ('\ufeffq5'), and a header
+    # behind one is still dropped
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + (header + "q5,x^2 - 5\n").encode())
+    assert read_corpus(path) == [CorpusRecord(label="q5", text="x^2 - 5")]
+
+
 def test_shipped_corpus_loads(repo_root):
     records = read_corpus(repo_root / "corpus" / "fields.csv")
     labels = [r.label for r in records]

@@ -223,6 +223,32 @@ def test_round_two_table_count_on_the_corpus(corpus_records):
     assert (primes, tables) == (69, 20)
 
 
+def test_unenlarged_field_builds_no_table(corpus_records):
+    # every square prime settled with Z[theta] p-maximal: no join and no
+    # closure table, as for a field with no square prime
+    settled = []
+    for rec in corpus_records:
+        f = parse_poly(rec.text)
+        primes = _square_primes(f)
+        if not primes or any(orders._dedekind_witness(f, p) for p, _ in primes):
+            continue
+        mult_table.cache_clear()
+        assert maximal_order(f).order == equation_order(f), rec.label
+        assert mult_table.cache_info().misses == 0, rec.label
+        settled.append(rec.label)
+    assert len(settled) == 20 and "cyclo7" in settled
+
+
+def test_enlarged_field_builds_its_closure_table(monkeypatch):
+    # klein-quartic-a, index 48: 2 and 3 are enlarged and joined, and the
+    # join's closure is proven by its table
+    tabled = []
+    monkeypatch.setattr(orders, "mult_table", lambda order: tabled.append(order) or mult_table(order))
+    mo = maximal_order(parse_poly("x^4 - 41*x^2 + 144"))
+    assert mo.index == 48
+    assert tabled[-1] == mo.order
+
+
 def test_dedekind_squarefree_parts_match_factor_mod_p(corpus_records, monkeypatch):
     # g_bar, the product of the distinct irreducible factors of f mod p, read
     # from Cantor-Zassenhaus factors instead of the squarefree parts

@@ -14,7 +14,7 @@ from referencing import Registry, Resource
 
 from tracegenus.corpus import read_corpus
 from tracegenus.errors import ReducibleInputError
-from tracegenus.genus import compare_spinor_genus, cross_validate, predict_equivalence
+from tracegenus.genus import cross_validate
 from tracegenus.polys import IntPoly, parse_poly
 from tracegenus.report import (
     ANALYSIS_SCHEMA,
@@ -209,18 +209,10 @@ def test_analysis_documents_validate(validators, corpus_analyses, corpus_texts, 
 
 
 def _comparison_doc(corpus_analyses, corpus_texts, left, right):
-    fa, fb = corpus_analyses[left], corpus_analyses[right]
-    comparison = compare_spinor_genus(fa, fb)
-    prediction = predict_equivalence(fa, fb)
-    crossval = None
-    if comparison.verdict != "not-applicable" and prediction.applicable:
-        crossval = cross_validate(fa, fb)
     return comparison_document(
         _doc(corpus_analyses, corpus_texts, left),
         _doc(corpus_analyses, corpus_texts, right),
-        comparison,
-        prediction,
-        crossval,
+        cross_validate(corpus_analyses[left], corpus_analyses[right]),
     )
 
 
@@ -258,8 +250,7 @@ def test_scan_document_validates(validators, corpus_analyses, corpus_texts):
     err = error_document(
         ReducibleInputError(
             "x^2 - 1 is reducible", factors=[IntPoly((-1, 1)), IntPoly((1, 1))]
-        ),
-        factors=[IntPoly((-1, 1)), IntPoly((1, 1))],
+        )
     )
     bad_record = {
         "label": "broken",
@@ -293,8 +284,7 @@ def test_scan_document_validates(validators, corpus_analyses, corpus_texts):
 
 def test_error_document_validates(validators):
     doc = error_document(
-        ReducibleInputError("reducible", factors=[IntPoly((-1, 1)), IntPoly((1, 1))]),
-        factors=[IntPoly((-1, 1)), IntPoly((1, 1))],
+        ReducibleInputError("reducible", factors=[IntPoly((-1, 1)), IntPoly((1, 1))])
     )
     validators["error.v1.json"].validate(doc)
     assert doc["error"]["type"] == "ReducibleInputError"
