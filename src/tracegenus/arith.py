@@ -7,14 +7,19 @@ psi_13 on, the 13 bases are followed by a strong Lucas test (Selfridge
 parameters), which makes the test BPSW (Baillie-Wagstaff 1980): no
 counterexample is known, but the answer is probable, not proven.
 
-Factorization trial-divides by the primes below 1000 and hands the cofactor
-to Brent's variant of Pollard rho over an escalating, fixed parameter
-schedule. A composite cofactor that survives the schedule raises
+Factorization trial-divides by the primes below 1000, splits a cofactor
+that is an exact power r^k at once, and hands the rest to Brent's variant of
+Pollard rho over an escalating, fixed parameter schedule. When rho's first
+offset reaches a fixed step count, it pauses for one pass of Pollard's p - 1
+(Pollard 1974; stage 1 to B1, a prime-by-prime stage 2 to B2), which splits
+a balanced cofactor whenever p - 1 is smooth for one of its primes, and then
+resumes where it stopped. A composite cofactor that survives both raises
 FactorizationLimitError rather than looping.
 """
 
 from bisect import bisect_right
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -46,7 +51,7 @@ def _small_primes(limit):
     for i in range(2, isqrt(limit) + 1):
         if sieve[i]:
             sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    return [i for i in range(limit + 1) if sieve[i]]
+    return list(compress(range(limit + 1), sieve))
 
 _PRIMES_BELOW_1000 = _small_primes(1000)
 
@@ -145,10 +150,66 @@ _RHO_CONSTANTS = 64  # polynomial offsets x^2 + c tried in order
 _RHO_STEP_CAP = 1 << 21  # squarings allowed per offset before giving up
 
 
+_PM1_B1 = 3000  # stage 1 raises 2 to every prime power up to B1
+_PM1_B2 = 30000  # stage 2 adds one more prime in (B1, B2]
+_PM1_BLOCK = 256  # stage-2 primes per gcd
+_PM1_TRIGGER = 2048  # rho steps on the first offset before the p - 1 pass
+
+
+@lru_cache(maxsize=None)
+def _pm1_tables():
+    """(E, gaps): stage 1's exponent E, the product of p^floor(log_p B1) over
+    the primes p <= B1, and stage 2's primes in (B1, B2] as the distances
+    from 0 to the first and from each to the next. Built on first use."""
+    primes = _small_primes(_PM1_B2)
+    split = bisect_right(primes, _PM1_B1)
+    exponent = 1
+    for p in primes[:split]:
+        power = p
+        while power * p <= _PM1_B1:
+            power *= p
+        exponent *= power
+    stage2 = primes[split:]
+    return exponent, [q - p for p, q in zip([0] + stage2, stage2)]
+
+
+def _pm1(n):
+    """Pollard's p - 1 on an odd composite n that is no perfect power;
+    returns a proper factor or None."""
+    exponent, gaps = _pm1_tables()
+    a = pow(2, exponent, n)
+    g = gcd(a - 1, n)
+    if g > 1:
+        return g if g < n else None
+    # stage 2: x runs through a^q for the primes q, one product per block
+    powers = {gap: pow(a, gap, n) for gap in set(gaps)}
+    x = 1
+    for start in range(0, len(gaps), _PM1_BLOCK):
+        block = gaps[start : start + _PM1_BLOCK]
+        x0, acc = x, 1
+        for gap in block:
+            x = x * powers[gap] % n
+            acc = acc * (x - 1) % n
+        g = gcd(acc, n)
+        if g == n:
+            # every prime of n fell in this block: take it one prime at a time
+            x = x0
+            for gap in block:
+                x = x * powers[gap] % n
+                g = gcd(x - 1, n)
+                if g > 1:
+                    break
+        if g > 1:
+            return g if g < n else None
+    return None
+
+
 def _brent_rho(n):
-    """One Brent-rho sweep over the fixed schedule; returns a proper factor or None."""
+    """One Brent-rho sweep over the fixed schedule, with one p - 1 pass at
+    the trigger; returns a proper factor or None."""
     if n % 2 == 0:
         return 2
+    pm1_due = True
     for c in range(1, _RHO_CONSTANTS + 1):
         y, m = 2, 128
         g, r, q = 1, 1, 1
@@ -171,6 +232,12 @@ def _brent_rho(n):
                 k += m
             r *= 2
             steps += r
+            if pm1_due and g == 1 and steps >= _PM1_TRIGGER:
+                # rho resumes after a miss, so no step is computed twice
+                pm1_due = False
+                d = _pm1(n)
+                if d is not None:
+                    return d
         if g == n:
             g = 1
             while g == 1:
@@ -203,6 +270,24 @@ class PrimeFactorization(NamedTuple):
         return [p for p, _ in self.factors]
 
 
+def _perfect_power(m):
+    """(r, k) with r^k == m for the least prime k, or None; m has no prime
+    factor below 1000, so r > 1000 and k <= log_1000(m)."""
+    for k in _PRIMES_BELOW_1000:
+        if 1000**k > m:
+            return None
+        # Newton's method from above converges to floor(m^(1/k))
+        r = 1 << -(-m.bit_length() // k)
+        while True:
+            s = ((k - 1) * r + m // r ** (k - 1)) // k
+            if s >= r:
+                break
+            r = s
+        if r**k == m:
+            return r, k
+    return None
+
+
 def factor_integer(n):
     """Full factorization of a nonzero integer as a PrimeFactorization."""
     if n == 0:
@@ -226,9 +311,10 @@ def factor_integer(n):
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        root = isqrt(m)
-        if root * root == m:
-            stack.extend([root, root])
+        power = _perfect_power(m)
+        if power is not None:
+            root, k = power
+            stack.extend([root] * k)
             continue
         d = _brent_rho(m)
         if d is None:

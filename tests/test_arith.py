@@ -1,4 +1,8 @@
-from math import isqrt
+import os
+import random
+import subprocess
+import sys
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given
@@ -150,6 +154,135 @@ def test_factorization_limit_is_honest(monkeypatch):
         factor_integer(p * q)
     # the shrunken schedule still factors easy inputs on the trial-division path
     assert factor_integer(2 * 3 * 32009).factors == ((2, 1), (3, 1), (32009, 1))
+
+
+PM1 = arith._pm1  # the real pass, for spies that record and forward
+
+
+def test_factorization_limit_follows_one_failed_p_minus_1(monkeypatch):
+    # a schedule long enough to reach the trigger: p - 1 runs once, misses
+    # (the largest primes of p - 1 and q - 1 are 26005097 and 12667849), and
+    # the error comes only after rho's schedule has failed too
+    monkeypatch.setattr(arith, "_RHO_CONSTANTS", 2)
+    monkeypatch.setattr(arith, "_RHO_STEP_CAP", 2 * arith._PM1_TRIGGER)
+    calls = []
+    monkeypatch.setattr(arith, "_pm1", lambda n: calls.append(n) or PM1(n))
+    n = 1000000000039 * 1000000000061
+    with pytest.raises(FactorizationLimitError):
+        factor_integer(n)
+    assert calls == [n] and PM1(n) is None
+
+
+def test_p_minus_1_stage_1():
+    # 14507425399 - 1 = 2 * 3 * 23 * 43 * 991 * 2467, all below B1
+    p, q = 578706377, 14507425399
+    assert PM1(p * q) == q
+
+
+def test_p_minus_1_stage_2():
+    # 1565263417 - 1 = 2^3 * 3 * 53 * 61 * 20173, with 20173 in (B1, B2]
+    p, q = 1565263417, 3581217007
+    assert arith._PM1_B1 < 20173 <= arith._PM1_B2
+    assert gcd(pow(2, arith._pm1_tables()[0], p * q) - 1, p * q) == 1
+    assert PM1(p * q) == p
+    assert factor_integer(p * q).factors == ((p, 1), (q, 1))
+
+
+def _gcd_spy(monkeypatch):
+    seen = []
+    monkeypatch.setattr(arith, "gcd", lambda a, b: seen.append(gcd(a, b)) or gcd(a, b))
+    return seen
+
+
+def test_p_minus_1_redoes_a_block_that_catches_both_primes(monkeypatch):
+    # p - 1 = 2 * 100008 * 3001 and q - 1 = 2 * 1000017 * 3011: both primes of
+    # n fall in the first stage-2 block, whose gcd is n, and the prime-by-prime
+    # redo finds p at 3001
+    p, q = 600248017, 6022030111
+    seen = _gcd_spy(monkeypatch)
+    assert PM1(p * q) == p
+    assert p * q in seen
+
+
+def test_p_minus_1_gives_up_when_one_prime_catches_both(monkeypatch):
+    # p - 1 and q - 1 both end in 3001: the redo's gcd is n at that prime,
+    # so p - 1 has no factor to give and rho finds it
+    p, q = 600248017, 6002030011
+    seen = _gcd_spy(monkeypatch)
+    assert PM1(p * q) is None
+    assert seen.count(p * q) == 2
+    monkeypatch.undo()
+    assert factor_integer(p * q).factors == ((p, 1), (q, 1))
+
+
+def test_p_minus_1_misses_and_rho_factors(monkeypatch):
+    # 191320219 - 1 = 2 * 3^6 * 131221 and 83307687367 - 1 = 2 * 3 * 17^4 * 37
+    # * 4493: 131221 is above B2 and 17^4 above B1
+    p, q = 191320219, 83307687367
+    assert PM1(p * q) is None
+    calls = []
+    monkeypatch.setattr(arith, "_pm1", lambda n: calls.append(n) or PM1(n))
+    assert factor_integer(p * q).factors == ((p, 1), (q, 1))
+    assert calls == [p * q]
+
+
+def _random_prime(rng, digits):
+    while True:
+        p = rng.randrange(10 ** (digits - 1), 10**digits) | 1
+        if is_prime(p):
+            return p
+
+
+def test_factor_integer_semiprimes_in_the_hard_disc_range():
+    # hard-disc's rho cofactors are products of two primes of 7 to 14
+    # digits; the smaller one is kept to 9 so that rho stays quick on a miss
+    rng = random.Random(29)
+    for _ in range(12):
+        p, q = sorted((_random_prime(rng, rng.randint(7, 9)), _random_prime(rng, rng.randint(9, 14))))
+        assert factor_integer(p * q).factors == ((p, 1), (q, 1))
+
+
+def test_no_corpus_field_reaches_p_minus_1(monkeypatch, corpus_records):
+    from tracegenus import analyze_field, parse_poly
+
+    calls = []
+    monkeypatch.setattr(arith, "_pm1", lambda n: calls.append(n) or PM1(n))
+    for record in corpus_records:
+        analyze_field(parse_poly(record.text))
+    assert calls == []
+
+
+def test_p_minus_1_tables_are_built_on_first_use(repo_root):
+    # neither importing the package nor starting the CLI builds them
+    code = "import tracegenus.cli, tracegenus.arith as a; print(a._pm1_tables.cache_info().currsize)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(repo_root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 7])
+def test_perfect_powers_split_before_rho(monkeypatch, k):
+    # rho would need about sqrt(p) steps for p^3, p^5 or p^7
+    p = 1000000000000037
+    calls = []
+    monkeypatch.setattr(arith, "_brent_rho", lambda n: calls.append(n))
+    monkeypatch.setattr(arith, "_pm1", lambda n: calls.append(n))
+    assert factor_integer(-(2**8) * p**k).factors == ((2, 8), (p, k))
+    assert calls == []
+
+
+def test_perfect_power_roots():
+    assert arith._perfect_power(1009**2 * 1013**2) == (1009 * 1013, 2)
+    assert arith._perfect_power((10**40 + 1) ** 3) == (10**40 + 1, 3)
+    assert arith._perfect_power((10**40 + 1) ** 3 + 1) is None
+    assert arith._perfect_power(1009**6) == (1009**3, 2)
+    assert arith._perfect_power(1009 * 1013) is None
 
 
 def test_factor_integer_semiprime_within_reach():

@@ -210,6 +210,16 @@ def test_failed_analysis_prints_its_error_and_exits_5(capsys, monkeypatch, argv)
     assert err == "error: %s\n" % error["message"]
 
 
+def test_analyze_splits_a_cube_in_the_discriminant(capsys):
+    # disc(f) = -2^8 * p^3 with p = 1000000000000037: the cube is split as a
+    # power, where rho would need about sqrt(p) steps
+    t0 = time.perf_counter()
+    code, doc = analyze_json(capsys, "x^4 - 1000000000000037", "--no-cache")
+    assert code == 0
+    assert doc["disc_factorization"]["factors"] == [["2", 4], ["1000000000000037", 3]]
+    assert time.perf_counter() - t0 < 10
+
+
 def test_compare_human_output(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys,
