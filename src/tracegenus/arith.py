@@ -11,7 +11,7 @@ Factorization trial-divides by the primes below 1000, splits a cofactor
 that is an exact power r^k at once, and hands the rest to Brent's variant of
 Pollard rho over an escalating, fixed parameter schedule. When rho's first
 offset reaches a fixed step count, it pauses for one pass of Pollard's p - 1
-(Pollard 1974; stage 1 to B1, a prime-by-prime stage 2 to B2), which splits
+(Pollard 1974; stage 1 to B1, stage 2 over the primes up to B2), which splits
 a balanced cofactor whenever p - 1 is smooth for one of its primes, and then
 resumes where it stopped. A composite cofactor that survives both raises
 FactorizationLimitError rather than looping.
@@ -153,7 +153,9 @@ _RHO_STEP_CAP = 1 << 21  # squarings allowed per offset before giving up
 _PM1_B1 = 3000  # stage 1 raises 2 to every prime power up to B1
 _PM1_B2 = 30000  # stage 2 adds one more prime in (B1, B2]
 _PM1_BLOCK = 256  # stage-2 primes per gcd
-_PM1_TRIGGER = 2048  # rho steps on the first offset before the p - 1 pass
+# rho steps on the first offset before the p - 1 pass; rounds end at
+# 2, 6, 14, ..., 4r - 2 steps, and 4094 is the end of the r = 1024 round
+_PM1_TRIGGER = 4094
 
 
 @lru_cache(maxsize=None)
@@ -185,21 +187,13 @@ def _pm1(n):
     powers = {gap: pow(a, gap, n) for gap in set(gaps)}
     x = 1
     for start in range(0, len(gaps), _PM1_BLOCK):
-        block = gaps[start : start + _PM1_BLOCK]
-        x0, acc = x, 1
-        for gap in block:
+        acc = 1
+        for gap in gaps[start : start + _PM1_BLOCK]:
             x = x * powers[gap] % n
             acc = acc * (x - 1) % n
         g = gcd(acc, n)
-        if g == n:
-            # every prime of n fell in this block: take it one prime at a time
-            x = x0
-            for gap in block:
-                x = x * powers[gap] % n
-                g = gcd(x - 1, n)
-                if g > 1:
-                    break
         if g > 1:
+            # g == n: every prime of n fell in one block, and rho goes on
             return g if g < n else None
     return None
 

@@ -194,23 +194,26 @@ def _gcd_spy(monkeypatch):
     return seen
 
 
-def test_p_minus_1_redoes_a_block_that_catches_both_primes(monkeypatch):
-    # p - 1 = 2 * 100008 * 3001 and q - 1 = 2 * 1000017 * 3011: both primes of
-    # n fall in the first stage-2 block, whose gcd is n, and the prime-by-prime
-    # redo finds p at 3001
-    p, q = 600248017, 6022030111
-    seen = _gcd_spy(monkeypatch)
-    assert PM1(p * q) == p
-    assert p * q in seen
-
-
-def test_p_minus_1_gives_up_when_one_prime_catches_both(monkeypatch):
-    # p - 1 and q - 1 both end in 3001: the redo's gcd is n at that prime,
-    # so p - 1 has no factor to give and rho finds it
-    p, q = 600248017, 6002030011
+def test_p_minus_1_gives_up_when_stage_1_catches_both_primes(monkeypatch):
+    # 1002261353 - 1 = 2^3 * 193 * 761 * 853 and 14507425399 - 1 = 2 * 3 * 23
+    # * 43 * 991 * 2467: stage 1's gcd is n, so p - 1 has no factor to give
+    # and rho finds one
+    p, q = 1002261353, 14507425399
     seen = _gcd_spy(monkeypatch)
     assert PM1(p * q) is None
-    assert seen.count(p * q) == 2
+    assert seen == [p * q]
+    monkeypatch.undo()
+    assert factor_integer(p * q).factors == ((p, 1), (q, 1))
+
+
+def test_p_minus_1_gives_up_when_a_block_catches_both_primes(monkeypatch):
+    # 600248017 - 1 = 2^4 * 3^3 * 463 * 3001 and 6022030111 - 1 = 2 * 3 * 5
+    # * 163 * 409 * 3011: both primes of n fall in the first stage-2 block,
+    # whose gcd is n, and rho finds a factor instead
+    p, q = 600248017, 6022030111
+    seen = _gcd_spy(monkeypatch)
+    assert PM1(p * q) is None
+    assert seen == [1, p * q]
     monkeypatch.undo()
     assert factor_integer(p * q).factors == ((p, 1), (q, 1))
 
