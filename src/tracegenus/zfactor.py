@@ -1,11 +1,14 @@
-"""Factorization in Z[x]: Yun squarefree split, degree analysis, quadratic
-Hensel lifting of a mod-p factorization above the Mignotte bound, and
-Zassenhaus subset recombination. Degree analysis reads the mod-p factor
-degrees at up to 5 good primes, tried from 2 up (at 2 distinct-degree
-splitting costs almost nothing); when no proper factor degree is allowed by
-all of them, f is irreducible and nothing is lifted. Otherwise the lift runs
-at the good prime with the fewest local factors, the first on a tie.
-The lift and the recombination use modp's arithmetic modulo p^(2^k).
+"""Factorization in Z[x]: degree analysis, quadratic Hensel lifting of a
+mod-p factorization above the Mignotte bound, and Zassenhaus subset
+recombination with the constant-term test. A monic f is squarefree exactly
+when disc(f) != 0; otherwise its radical f / gcd(f, f') is factored and
+exact division gives each multiplicity. Degree analysis reads the mod-p
+factor degrees at up to 5 primes not dividing the discriminant, tried from
+2 up (at 2 distinct-degree splitting costs almost nothing); when no proper
+factor degree is allowed by all of them, f is irreducible and nothing is
+lifted. Otherwise the lift runs at the good prime with the fewest local
+factors, the first on a tie. The lift and the recombination use modp's
+arithmetic modulo p^(2^k).
 
 Input is monic, as a defining polynomial of Q(theta) with theta integral
 is: every factor over Z is then monic (Gauss), so each exact division is by
@@ -13,44 +16,18 @@ a monic polynomial and no content or leading coefficient is split off.
 """
 
 from itertools import chain, combinations, count
-from math import isqrt
+from math import isqrt, prod
 
 from . import modp
 from .arith import is_prime
 from .errors import DegenerateInputError, InternalConsistencyError, NonMonicInputError
-from .polys import IntPoly, exact_quotient, poly_gcd
+from .polys import IntPoly, discriminant, exact_quotient, poly_gcd
 
 _LIFT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
 
 
-def yun_squarefree(f):
-    """[(monic squarefree factor, multiplicity)] for monic f, char 0."""
-    d = f.derivative()
-    g = poly_gcd(f, d)
-    if g.degree == 0:
-        return [(f, 1)]
-    # every divisor below is a primitive factor of the monic f, so it is
-    # monic too (Gauss) and each quotient is integral
-    c = exact_quotient(f, g)
-    z = exact_quotient(d, g) - c.derivative()
-    out = []
-    i = 1
-    while c.degree > 0:
-        fi = poly_gcd(c, z)
-        if fi.degree >= 1:
-            out.append((fi, i))
-        c = exact_quotient(c, fi)
-        z = exact_quotient(z, fi) - c.derivative()
-        i += 1
-    return out
-
-
-def _sq_norm(f):
-    return sum(c * c for c in f.coeffs)
-
-
 def _l2_norm_ceil(f):
-    s = _sq_norm(f)
+    s = sum(c * c for c in f.coeffs)
     r = isqrt(s)
     return r if r * r == s else r + 1
 
@@ -128,37 +105,28 @@ def _lift_tree(f, factors, p, target):
     return left + right, m
 
 
-def _good_blocks(f):
-    """(p, modp.degree_blocks(f, p)) at up to 5 primes of _LIFT_PRIMES where
-    f stays squarefree; failing those, at the first such prime above 67.
-    A prime is bad when gcd(f, f') mod p is not 1, and then no degree
-    analysis runs there. At a good prime degree_blocks takes that gcd again
-    as squarefree_decomposition's first step and returns after it: one gcd
-    at each of at most 5 good primes, against a full squarefree and
-    distinct-degree split at each bad one.
-
-    Each bad prime of a squarefree monic f divides disc(f) != 0, so the
-    search raises once their product passes Hadamard's bound on |disc(f)|,
-    the determinant of the Sylvester matrix of f and f'."""
-    n = f.degree
-    bound_sq = _sq_norm(f) ** (n - 1) * _sq_norm(f.derivative()) ** n
-    bad = 1
+def _good_blocks(f, disc):
+    """(p, modp.degree_blocks(f, p)) at up to 5 primes of _LIFT_PRIMES that
+    do not divide disc = disc(f) != 0; failing those, at the first such
+    prime above 67. disc(f) is the Sylvester determinant of f and f', a
+    polynomial in the coefficients, so for monic f disc(f mod p) = disc(f)
+    mod p: f stays squarefree mod p exactly at these primes, and no degree
+    analysis runs at any other."""
     found = 0
     for p in chain(_LIFT_PRIMES, filter(is_prime, count(71, 2))):
         if found == 5 or (found and p > 67):
             return
-        a = modp.norm(f.coeffs, p)
-        if modp.gcd_p(a, modp.derivative(a, p), p) == (1,):
+        if disc % p:
             found += 1
             yield (p, *modp.degree_blocks(f, p))
-        else:
-            bad *= p
-            if bad * bad > bound_sq:
-                raise InternalConsistencyError("expected squarefree input")
 
 
-def _factor_monic_squarefree(f):
-    """Irreducible (monic) factors of a monic squarefree integer polynomial."""
+def _factor_monic_squarefree(f, disc):
+    """Irreducible (monic) factors of a monic squarefree integer polynomial
+    with disc = disc(f)."""
+    # every prime divides 0, so the prime search would never end
+    if disc == 0:
+        raise InternalConsistencyError("expected squarefree input")
     n = f.degree
     if n <= 1:
         return [f]
@@ -166,7 +134,7 @@ def _factor_monic_squarefree(f):
     # its local degrees as degrees of a proper factor over Z
     allowed = set(range(1, n))
     best = None
-    for p, a, blocks in _good_blocks(f):
+    for p, a, blocks in _good_blocks(f, disc):
         shape = modp.shape(blocks)
         sums = {0}
         for d, _ in shape:
@@ -188,11 +156,18 @@ def _factor_monic_squarefree(f):
     while 2 * size <= len(remaining):
         found = None
         for subset in combinations(remaining, size):
-            prod = (1,)
+            # Zassenhaus's constant-term test: a true factor g has
+            # |g(0)| < m/2, so g(0) is t, the product of the constant terms
+            # in the symmetric range, and divides current(0); 0 divides only 0
+            t = prod(pieces[i][0] for i in subset) % m
+            t = t - m if t > m // 2 else t
+            if current.coeffs[0] % t if t else current.coeffs[0]:
+                continue
+            lifted = (1,)
             for i in subset:
-                prod = modp.mul(prod, pieces[i], m)
-            # prod is reduced into [0, m); lift it to the symmetric range
-            cand = IntPoly([c - m if c > m // 2 else c for c in prod])
+                lifted = modp.mul(lifted, pieces[i], m)
+            # lifted is reduced into [0, m); lift it to the symmetric range
+            cand = IntPoly([c - m if c > m // 2 else c for c in lifted])
             q, r = current.divmod(cand)
             if r.is_zero:
                 found = (subset, cand, q)
@@ -221,17 +196,21 @@ def factor_over_z(f):
         raise DegenerateInputError("cannot factor a constant polynomial: %s" % (f,))
     if not f.is_monic:
         raise NonMonicInputError("factor_over_z needs a monic polynomial: %s" % (f,))
-    out = {}
-    for part, mult in yun_squarefree(f):
-        for irr in _factor_monic_squarefree(part):
-            out[irr] = out.get(irr, 0) + mult
-    factors = sorted(out.items(), key=lambda t: (t[0].degree, t[0].coeffs))
-    check = IntPoly([1])
-    for g, m in factors:
-        for _ in range(m):
-            check = check * g
-    if check != f:  # pragma: no cover
-        raise InternalConsistencyError("factorization failed to re-multiply")
+    disc = discriminant(f)
+    # disc(f) = 0 exactly when f has a repeated factor; its radical
+    # f / gcd(f, f') is squarefree with the same irreducible factors
+    core = f if disc else exact_quotient(f, poly_gcd(f, f.derivative()))
+    factors = []
+    rest = f
+    for g in _factor_monic_squarefree(core, disc or discriminant(core)):
+        mult = 0
+        q, r = rest.divmod(g)
+        while r.is_zero:
+            rest, mult = q, mult + 1
+            q, r = rest.divmod(g)
+        factors.append((g, mult))
+    if rest != IntPoly([1]):  # pragma: no cover
+        raise InternalConsistencyError("factorization failed to divide out")
     return factors
 
 

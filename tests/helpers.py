@@ -457,6 +457,37 @@ def distinct_degree_by_pow_mod(f, p):
 
 
 # ---------------------------------------------------------------------------
+# squarefree mod p, and polynomials that stress recombination
+
+
+def squarefree_mod_p(f, p):
+    """True when the monic IntPoly f stays squarefree mod p, decided by one
+    gcd(f, f') in F_p[x] rather than by disc(f) mod p."""
+    from tracegenus import modp
+
+    a = modp.norm(f.coeffs, p)
+    return modp.gcd_p(a, modp.derivative(a, p), p) == (1,)
+
+
+def swinnerton_dyer(primes):
+    """The Swinnerton-Dyer polynomial prod(x + e_1 sqrt(p_1) + ... ), signs
+    e_i = +-1, of degree 2^len(primes): irreducible over Q, yet a product of
+    factors of degree at most 2 mod every prime. With f_0 = x and
+    f_(i-1)(x + sqrt(p)) = A + sqrt(p) B (A, B in Z[x]), f_i = A^2 - p B^2."""
+    from tracegenus.polys import IntPoly
+
+    f = IntPoly((0, 1))
+    x = IntPoly((0, 1))
+    for p in primes:
+        # Horner over Z[x][sqrt(p)]: (A + sqrt(p) B)(x + sqrt(p))
+        a, b = IntPoly(), IntPoly()
+        for c in reversed(f.coeffs):
+            a, b = a * x + IntPoly((p,)) * b + IntPoly((c,)), a + b * x
+        f = a * a - IntPoly((p,)) * b * b
+    return f
+
+
+# ---------------------------------------------------------------------------
 # odd-p Jordan decomposition of a Gram matrix over Z_(p)
 
 

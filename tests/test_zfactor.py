@@ -4,13 +4,18 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from helpers import is_eisenstein_at, quadratic_is_irreducible
-from tracegenus.arith import is_prime
+from helpers import (
+    brute_is_prime,
+    is_eisenstein_at,
+    quadratic_is_irreducible,
+    squarefree_mod_p,
+    swinnerton_dyer,
+)
 from tracegenus.errors import DegenerateInputError, InternalConsistencyError, NonMonicInputError
-from tracegenus.polys import IntPoly, parse_poly
+from tracegenus.polys import IntPoly, discriminant, parse_poly
 import tracegenus.zfactor as zfactor
 from tracegenus import modp
-from tracegenus.zfactor import factor_over_z, is_irreducible, yun_squarefree
+from tracegenus.zfactor import factor_over_z, is_irreducible
 
 
 def poly(*low_to_high):
@@ -213,11 +218,16 @@ def test_fewest_local_factors_first_at_2_lifts_at_2(lifts):
     assert lifts and {args[2] for args in lifts} == {2}  # the tree and its halves
 
 
-def test_bad_at_every_lift_prime_falls_back_above_67(monkeypatch):
+def _bad_at_every_lift_prime():
+    """x^2 - 2*3*5*...*67, which is x^2 mod each of those primes."""
     n = 1
     for p in zfactor._LIFT_PRIMES:
         n *= p
-    f = poly(-n, 0, 1)  # x^2 - 3*5*...*67 is x^2 mod each of those primes
+    return poly(-n, 0, 1)
+
+
+def test_bad_at_every_lift_prime_falls_back_above_67(monkeypatch):
+    f = _bad_at_every_lift_prime()
     used = []
     blocks = modp.degree_blocks
     monkeypatch.setattr(modp, "degree_blocks", lambda g, p: used.append(p) or blocks(g, p))
@@ -230,22 +240,33 @@ def test_bad_at_every_lift_prime_falls_back_above_67(monkeypatch):
 
 
 def test_degree_analysis_runs_only_at_good_primes(monkeypatch):
-    # disc(x^2 + 30) = -120: 2, 3 and 5 are bad, and one gcd(f, f') mod p
-    # each rejects them before any distinct-degree splitting
+    # disc(x^2 + 30) = -120: 2, 3 and 5 divide it, and are skipped before
+    # any distinct-degree splitting
     used = []
     blocks = modp.degree_blocks
     monkeypatch.setattr(modp, "degree_blocks", lambda g, p: used.append(p) or blocks(g, p))
-    good = [p for p, _, _ in zfactor._good_blocks(poly(30, 0, 1))]
+    good = [p for p, _, _ in zfactor._good_blocks(poly(30, 0, 1), -120)]
     assert good == [7, 11, 13, 17, 19]
     assert used == good
 
 
-def _square_of_lift_prime_product():
-    n = 1
-    for p in zfactor._LIFT_PRIMES:
-        n *= p
-    g = poly(-n, 0, 1)
-    return g * g
+def test_good_primes_are_the_squarefree_primes_of_one_gcd_mod_p():
+    # seeded differential: disc(f) mod p against gcd(f mod p, f' mod p) = 1,
+    # on the same prime schedule; the last input is bad at every lift prime
+    rng = random.Random(20261031)
+    inputs = []
+    while len(inputs) < 200:
+        n = rng.randrange(2, 10)
+        f = IntPoly(tuple(rng.randrange(-20, 21) for _ in range(n)) + (1,))
+        if discriminant(f):
+            inputs.append(f)
+    inputs.append(_bad_at_every_lift_prime())
+    for f in inputs:
+        chosen = [p for p, _, _ in zfactor._good_blocks(f, discriminant(f))]
+        oracle = [p for p in zfactor._LIFT_PRIMES if squarefree_mod_p(f, p)][:5]
+        if not oracle:
+            oracle = [next(p for p in range(71, 10**4, 2) if brute_is_prime(p) and squarefree_mod_p(f, p))]
+        assert chosen == oracle, f
 
 
 @pytest.mark.parametrize(
@@ -254,53 +275,55 @@ def _square_of_lift_prime_product():
         parse_poly("x^2 - 2*x + 1"),
         parse_poly("x^4 + 2*x^2 + 1"),
         parse_poly("x^6 - 4*x^3 + 4"),
-        _square_of_lift_prime_product(),
+        _bad_at_every_lift_prime() * _bad_at_every_lift_prime(),
     ],
 )
 def test_non_squarefree_input_stops_the_prime_search(monkeypatch, f):
-    # every prime is bad for a square; the search stops once their product
-    # passes the Hadamard bound on |disc| that a squarefree f would obey
+    # every prime divides disc = 0, so a prime search could never end; past
+    # the lift primes it would ask is_prime, which here fails at once
     used = []
     blocks = modp.degree_blocks
     monkeypatch.setattr(modp, "degree_blocks", lambda g, p: used.append(p) or blocks(g, p))
+    monkeypatch.setattr(zfactor, "is_prime", lambda p: pytest.fail("prime search past %d" % p))
+    assert discriminant(f) == 0
     with pytest.raises(InternalConsistencyError, match="expected squarefree input"):
-        zfactor._factor_monic_squarefree(f)
-    assert len(used) < 150
+        zfactor._factor_monic_squarefree(f, 0)
+    assert used == []
 
 
-@pytest.mark.parametrize(
-    "f",
-    [
-        parse_poly("x^2 - 2*x + 1"),
-        parse_poly("x^4 + 2*x^2 + 1"),
-        parse_poly("x^6 - 4*x^3 + 4"),
-        _square_of_lift_prime_product(),
-    ],
-)
-def test_prime_search_on_a_square_stops_at_the_hadamard_bound(monkeypatch, f):
-    # _good_blocks tries each prime with one gcd(f, f') mod p; for a square
-    # every prime is bad, and the search tries 2, 3, 5, ... until their
-    # product first passes Hadamard's bound on |disc| for a squarefree f
-    tried = []
-    derivative = modp.derivative
-    monkeypatch.setattr(modp, "derivative", lambda a, p: tried.append(p) or derivative(a, p))
-    with pytest.raises(InternalConsistencyError, match="expected squarefree input"):
-        zfactor._factor_monic_squarefree(f)
-    n = f.degree
-    bound_sq = sum(c * c for c in f.coeffs) ** (n - 1) * sum(c * c for c in f.derivative().coeffs) ** n
-    assert tried == [p for p in range(2, tried[-1] + 1) if is_prime(p)]
-    product = 1
-    for p in tried[:-1]:
-        product *= p
-    assert product**2 <= bound_sq < (product * tried[-1]) ** 2
-    assert len(tried) < 150
+def test_squarefree_input_takes_one_disc_and_no_gcd_over_z(monkeypatch):
+    counts = {"discriminant": 0, "poly_gcd": 0}
+    for name in counts:
+        original = getattr(zfactor, name)
+
+        def spy(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(zfactor, name, spy)
+    factor_over_z(parse_poly("x^6 - 1"))
+    assert counts == {"discriminant": 1, "poly_gcd": 0}
 
 
-def test_yun_squarefree_structure():
+def test_repeated_factors_come_from_the_radical_by_exact_division():
     f = parse_poly("x - 1") * parse_poly("x - 1") * parse_poly("x + 3")
-    parts = yun_squarefree(f)
-    assert (parse_poly("x + 3"), 1) in parts
-    assert (parse_poly("x - 1"), 2) in parts
+    assert factor_over_z(f) == [(parse_poly("x - 1"), 2), (parse_poly("x + 3"), 1)]
+
+
+def test_constant_term_test_prunes_the_subset_search(monkeypatch):
+    # degree 32: 16 local quadratics at every good prime, about 39 200
+    # subsets of size <= 8, each a division over Z without the test
+    divisions = []
+    divmod_ = IntPoly.divmod
+    monkeypatch.setattr(IntPoly, "divmod", lambda a, b: divisions.append(b) or divmod_(a, b))
+    assert is_irreducible(swinnerton_dyer([2, 3, 5, 7, 11]))
+    assert len(divisions) < 1000
+
+
+def test_constant_term_test_keeps_a_zero_constant_term():
+    # x divides x * SD16: its lifted piece has constant term 0, and 0 | 0
+    x, sd16 = poly(0, 1), swinnerton_dyer([2, 3, 5, 7])
+    assert factor_over_z(x * sd16) == [(x, 1), (sd16, 1)]
 
 
 def test_factor_and_is_irreducible_refuse_non_monic_input():
