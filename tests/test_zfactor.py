@@ -291,6 +291,42 @@ def test_non_squarefree_input_stops_the_prime_search(monkeypatch, f):
     assert used == []
 
 
+@pytest.mark.parametrize(
+    "f",
+    [
+        parse_poly("x^2 - 2*x + 1"),
+        parse_poly("x^4 + 2*x^2 + 1"),
+        parse_poly("x^6 - 4*x^3 + 4"),
+        _bad_at_every_lift_prime() * _bad_at_every_lift_prime(),
+    ],
+)
+def test_prime_search_on_a_square_stops_at_the_hadamard_bound(monkeypatch, f):
+    # factor_over_z searches primes on the square's radical g, never on f;
+    # _good_blocks walks the primes upwards and rejects exactly those that
+    # divide disc(g) != 0, so the rejected primes multiply to at most
+    # |disc(g)|, which Hadamard's bound on the Sylvester matrix of (g, g')
+    # caps at |g|^(n-1) |g'|^n
+    used = []
+    blocks = modp.degree_blocks
+    monkeypatch.setattr(modp, "degree_blocks", lambda h, p: used.append((h, p)) or blocks(h, p))
+    factors = factor_over_z(f)
+    assert [e for _, e in factors] == [2] * len(factors)
+    g = IntPoly([1])
+    for h, _ in factors:
+        g = g * h
+    assert {h for h, _ in used} <= {g}
+    good = [p for _, p in used]
+    disc = discriminant(g)
+    rejected = [p for p in range(2, max(good, default=1) + 1) if brute_is_prime(p) and p not in good]
+    assert all(disc % p == 0 for p in rejected) and all(disc % p for p in good)
+    n = g.degree
+    bound_sq = sum(c * c for c in g.coeffs) ** (n - 1) * sum(c * c for c in g.derivative().coeffs) ** n
+    product = 1
+    for p in rejected:
+        product *= p
+    assert disc != 0 and product**2 <= disc**2 <= bound_sq
+
+
 def test_squarefree_input_takes_one_disc_and_no_gcd_over_z(monkeypatch):
     counts = {"discriminant": 0, "poly_gcd": 0}
     for name in counts:
